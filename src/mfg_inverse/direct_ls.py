@@ -117,7 +117,7 @@ def direct_ls_solve(
         gamma = 0.0 if data.noise_level == 0.0 else 1e-6
     start = time.perf_counter()
     b0 = np.zeros(grid.num_points) if b0 is None else np.asarray(b0, dtype=float)
-    state = {"q": None, "sol": None, "value": None, "opt": None}
+    state = {"q": None, "b": None, "sol": None, "opt": None}
 
     def fun_and_grad(bvec):
         q_init = None if cold_start else state["q"]
@@ -125,8 +125,8 @@ def direct_ls_solve(
         gradient = gradient_direct(prob, bvec, data, sol, gamma, adj_tol)
         if not cold_start:
             state["q"] = sol.q
+        state["b"] = np.array(bvec)
         state["sol"] = sol
-        state["value"] = value
         state["opt"] = float(np.abs(gradient * grid.cell_volume).max())
         return value, gradient * grid.cell_volume
 
@@ -140,9 +140,11 @@ def direct_ls_solve(
 
     report = optim.minimize(fun_and_grad, b0, opt_tol, max_iter, callback=record)
     # final state: re-solve at the minimizer unless it is already current
-    value, sol = objective_direct(
-        prob, report.minimizer, data, gamma, fwd_tol, None if cold_start else state["q"]
-    )
+    sol = state["sol"]
+    if not np.array_equal(state["b"], report.minimizer):
+        _, sol = objective_direct(
+            prob, report.minimizer, data, gamma, fwd_tol, None if cold_start else state["q"]
+        )
     return InverseResult(
         report.minimizer,
         sol.u,

@@ -144,26 +144,6 @@ def eo_hamiltonian(grid: Grid, slopes: np.ndarray) -> np.ndarray:
     ).sum(axis=1)
 
 
-def divergence_conservative(grid: Grid, m: np.ndarray, slopes: np.ndarray) -> np.ndarray:
-    """Discrete div(m q) for a policy q given in slope form.
-
-    Defined as the negative transpose of the upwind advection
-    q . grad, applied to m, so that the Fokker-Planck transport matrix
-    is exactly the transpose of the HJB transport matrix and mass is
-    conserved to machine precision.
-    """
-    m_mesh = _mesh(grid, m)
-    back, fwd = _split_slopes(grid, slopes)
-    out = np.zeros_like(m_mesh)
-    for axis in range(grid.dim):
-        a = np.maximum(back[:, axis], 0.0).reshape(grid.shape) * m_mesh
-        c = np.minimum(fwd[:, axis], 0.0).reshape(grid.shape) * m_mesh
-        # D^+ applied to a, D^- applied to c; uses (D^-)^T = -D^+.
-        out += (np.roll(a, -1, axis=axis) - a) / grid.dx
-        out += (c - np.roll(c, 1, axis=axis)) / grid.dx
-    return out.ravel()
-
-
 def integrate(grid: Grid, f: np.ndarray) -> float:
     """Rectangular-rule integral of a spatial field over the torus."""
     f = np.asarray(f, dtype=float)

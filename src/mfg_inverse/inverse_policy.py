@@ -42,7 +42,7 @@ from .grid import (
     policy_gap,
 )
 from .mfg_forward import INITIAL_VALUE, TERMINAL_RATE, InverseData, zero_policy
-from .pde import ConvergenceError, MFGProblem, OperatorCache, solve_adjoint_w, solve_fp, solve_hjb_linear
+from .pde import ConvergenceError, MFGProblem, OperatorCache, require_finite, solve_adjoint_w, solve_fp, solve_hjb_linear
 
 # A line-search stall this far above opt_tol is treated as failure.
 STALL_SLACK = 1e4
@@ -217,7 +217,8 @@ def policy_iteration_inverse(
     gamma defaults to 0 for noiseless data and 1e-6 otherwise.  With
     ``opt_tol_schedule="tightening"`` the step (ii) tolerance starts at
     1e-6 and halves each outer iteration until it reaches ``opt_tol``;
-    the default keeps it fixed at ``opt_tol``.
+    the default keeps it fixed at ``opt_tol``.  Raises NonFiniteError on
+    the first sweep whose density, obstacle or policy gap is not finite.
     """
     if opt_tol_schedule not in ("fixed", "tightening"):
         raise ValueError(f"unknown opt_tol_schedule {opt_tol_schedule!r}")
@@ -235,6 +236,7 @@ def policy_iteration_inverse(
     for k in range(1, max_iter + 1):
         ops = OperatorCache(grid, prob.eps, q)
         m = solve_fp(prob, q, ops)
+        require_finite("m", m, k, gaps)
         if data.kind == TERMINAL_RATE:
             b = closed_form_b(prob, q, m, data.g)
         else:
@@ -247,10 +249,12 @@ def policy_iteration_inverse(
             )
             curvature = report.curvature
             opt_iters.append(report.iterations)
+        require_finite("b", b, k, gaps)
         u = solve_hjb_linear(prob, q, m, b, ops)
         q_new = policy_update(grid, u)
         gap = policy_gap(grid, q_new, q)
         gaps.append(gap)
+        require_finite("the policy gap", gap, k, gaps)
         if b_true is not None:
             b_errors.append(l2_norm(grid, b - b_true))
         q = q_new

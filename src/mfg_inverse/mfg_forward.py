@@ -25,7 +25,7 @@ from .grid import (
     one_sided_gradients,
     policy_gap,
 )
-from .pde import ConvergenceError, MFGProblem, OperatorCache, solve_fp, solve_hjb_linear
+from .pde import ConvergenceError, MFGProblem, OperatorCache, require_finite, solve_fp, solve_hjb_linear
 
 INITIAL_VALUE = "u0"
 TERMINAL_RATE = "utT"
@@ -90,16 +90,23 @@ def policy_iteration_forward(
     tol: float = 1e-9,
     max_iter: int = 200,
 ) -> MFGSolution:
-    """Solve the coupled MFG system with known obstacle by policy iteration."""
+    """Solve the coupled MFG system with known obstacle by policy iteration.
+
+    Raises NonFiniteError on the first sweep whose density or policy gap
+    is not finite, and ConvergenceError when ``max_iter`` sweeps do not
+    bring the gap below ``tol``.
+    """
     q = zero_policy(prob) if q0 is None else np.asarray(q0, dtype=float).copy()
     gaps: list[float] = []
     for k in range(1, max_iter + 1):
         ops = OperatorCache(prob.grid, prob.eps, q)
         m = solve_fp(prob, q, ops)
+        require_finite("m", m, k, gaps)
         u = solve_hjb_linear(prob, q, m, b, ops)
         q_new = gradient_field(prob.grid, u)
         gap = policy_gap(prob.grid, q_new, q)
         gaps.append(gap)
+        require_finite("the policy gap", gap, k, gaps)
         q = q_new
         if gap < tol:
             return MFGSolution(u, m, q, k, gaps)
@@ -211,12 +218,11 @@ def mfg_residual(
     grid = prob.grid
     ops = OperatorCache(grid, prob.eps, q)
     res = 0.0
+    fp_residual = ops.apply(m[1:], transpose=True) - m[:-1]
+    hjb_residual = ops.apply(u[:-1]) - u[1:]
     for n in range(grid.time_steps):
-        a_m = ops._matrix(n).T @ m[n + 1]
-        res = max(res, l2_norm(grid, a_m - m[n]))
         source = eo_hamiltonian(grid, q[n]) + b + prob.coupling(m[n])
-        b_u = ops._matrix(n) @ u[n]
-        res = max(res, l2_norm(grid, b_u - u[n + 1] - grid.dt * source))
+        res = max(res, l2_norm(grid, fp_residual[n]), l2_norm(grid, hjb_residual[n] - grid.dt * source))
     grad_u = gradient_field(grid, u)
     res = max(res, policy_gap(grid, q, grad_u))
     if data is not None:

@@ -1,32 +1,34 @@
 """Implicit-Euler step matrices for the linear HJB and Fokker-Planck
-sweeps, plus the linear solver used everywhere.
+sweeps, assembled for all time levels of a policy at once.
 
-The two step matrices are built from one transport stencil:
+The two step matrices of level n are built from one transport stencil:
 
-    B = Id + dt * (-eps * Lap + T[q])        (HJB, backward in time)
-    A = Id + dt * (-eps * Lap + T[q]^T)      (FP, forward in time)
+    B_n = Id + dt * (-eps * Lap + T[q^n])        (HJB, backward in time)
+    A_n = B_n^T                                  (FP, forward in time)
 
 where ``T[q] u = sum_k max(q^-_k, 0) D^-_k u + min(q^+_k, 0) D^+_k u``
-is the upwind advection associated with the Engquist-Osher flux.  By
-construction ``A`` is exactly ``B`` transposed, which is what makes the
-scheme conservative (column sums of A are 1) and keeps the forward and
-adjoint problems discretely dual.  Both matrices are M-matrices: unit
-or larger diagonal, nonpositive off-diagonal entries.
+is the upwind advection associated with the Engquist-Osher flux.  The
+FP matrix is never built: its solves are the transposed solves of B_n,
+which is what makes the scheme conservative (column sums of A_n are 1)
+and keeps the forward and adjoint problems discretely dual.  B_n is an
+M-matrix: diagonal at least one, nonpositive off-diagonal entries.
+
+Every B_n has the same sparsity: a point couples to itself and to its
+two periodic neighbours along each axis.  That pattern depends only on
+``(dim, points_per_dim)`` and is built once; :func:`_step_matrix` then
+fills the values of every level in one vectorised pass, as a
+``(time_steps, nnz)`` array whose rows share the pattern's CSC order.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid import Grid
 
-# Largest system handled by a direct factorization; above this the solve
-# falls back to a preconditioned iterative method.
-DIRECT_LIMIT = 10_000
 RESIDUAL_TOL = 1e-12
 
 
@@ -34,136 +36,64 @@ class LinearSolveError(RuntimeError):
     """Raised when a step system cannot be solved to tolerance."""
 
 
-@lru_cache(maxsize=8)
-def _difference_matrices(dim: int, points_per_dim: int):
-    """Periodic D^-, D^+ and Laplacian matrices for a (dim, I) grid."""
-    n = points_per_dim
-    dx = 1.0 / n
-    shift_back = sp.csr_matrix(
-        (np.ones(n), ((np.arange(n)), (np.arange(n) - 1) % n)), shape=(n, n)
-    )
-    d_minus_1d = (sp.identity(n, format="csr") - shift_back) / dx
-    d_plus_1d = (-d_minus_1d.T).tocsr()
-    eye = sp.identity(n, format="csr")
-    if dim == 1:
-        d_minus = [d_minus_1d]
-        d_plus = [d_plus_1d]
-    else:
-        d_minus = [sp.kron(d_minus_1d, eye, format="csr"), sp.kron(eye, d_minus_1d, format="csr")]
-        d_plus = [sp.kron(d_plus_1d, eye, format="csr"), sp.kron(eye, d_plus_1d, format="csr")]
-    lap = sp.csr_matrix((n**dim, n**dim))
-    for dm in d_minus:
-        lap = lap - dm.T @ dm  # D^+ D^- = centered second difference
-    return d_minus, d_plus, lap.tocsr()
+class StepPattern(NamedTuple):
+    """CSC sparsity of the step matrices of one grid size.
 
-
-def laplacian_matrix(grid: Grid) -> sp.csr_matrix:
-    return _difference_matrices(grid.dim, grid.points_per_dim)[2]
-
-
-def transport_matrix(grid: Grid, q_slice: np.ndarray) -> sp.csr_matrix:
-    """Upwind advection matrix T[q] for one time level of a policy."""
-    d_minus, d_plus, _ = _difference_matrices(grid.dim, grid.points_per_dim)
-    q_slice = np.asarray(q_slice, dtype=float)
-    if q_slice.shape != (grid.num_points, 2 * grid.dim):
-        raise ValueError(
-            f"expected policy slice of shape ({grid.num_points}, {2 * grid.dim}),"
-            f" got {q_slice.shape}"
-        )
-    n = grid.num_points
-    t = sp.csr_matrix((n, n))
-    for axis in range(grid.dim):
-        a = np.maximum(q_slice[:, axis], 0.0)
-        c = np.minimum(q_slice[:, grid.dim + axis], 0.0)
-        t = t + sp.diags(a) @ d_minus[axis] + sp.diags(c) @ d_plus[axis]
-    return t.tocsr()
-
-
-class SparseOperator:
-    """Square sparse matrix with a lazily cached factorization.
-
-    ``solve`` guarantees a relative residual below 1e-12, applying one
-    step of iterative refinement if the first solve falls short.
+    Row i of ``stencil`` lists the columns that point i couples to, in
+    stencil order: itself, then the minus and the plus neighbour along
+    each axis.  ``slot`` has the same shape and gives the position of
+    each of those entries in CSC order.
     """
 
-    def __init__(self, matrix: sp.spmatrix):
-        self.matrix = sp.csr_matrix(matrix)
-        self.n = self.matrix.shape[0]
-        self._lu = None
-
-    def _factorization(self):
-        if self._lu is None:
-            try:
-                self._lu = spla.splu(self.matrix.tocsc())
-            except RuntimeError as exc:  # singular factorization
-                raise LinearSolveError(f"factorization failed: {exc}") from exc
-        return self._lu
-
-    def _solve_direct(self, rhs: np.ndarray) -> np.ndarray:
-        lu = self._factorization()
-        x = lu.solve(rhs)
-        residual = rhs - self.matrix @ x
-        rhs_norm = np.linalg.norm(rhs)
-        if rhs_norm > 0 and np.linalg.norm(residual) > RESIDUAL_TOL * rhs_norm:
-            x = x + lu.solve(residual)
-            residual = rhs - self.matrix @ x
-            if np.linalg.norm(residual) > RESIDUAL_TOL * rhs_norm:
-                raise LinearSolveError(
-                    f"relative residual {np.linalg.norm(residual) / rhs_norm:.3e}"
-                    f" above {RESIDUAL_TOL:.0e}"
-                )
-        return x
-
-    def _solve_iterative(self, rhs: np.ndarray) -> np.ndarray:
-        precond = spla.LinearOperator(
-            self.matrix.shape, matvec=lambda v: v / self.matrix.diagonal()
-        )
-        rhs_norm = np.linalg.norm(rhs)
-        if rhs_norm == 0.0:
-            return np.zeros_like(rhs)
-        # asking the Krylov solver for 1e-12 directly risks breakdown in
-        # its residual recursion; a moderate per-round tolerance composed
-        # over true-residual refinement rounds is robust and compounds
-        x = np.zeros_like(rhs)
-        residual = rhs
-        for _ in range(5):
-            dx, info = spla.bicgstab(self.matrix, residual, rtol=1e-8, atol=0.0, M=precond)
-            if info != 0:
-                raise LinearSolveError(f"iterative solve did not converge (info={info})")
-            x = x + dx
-            residual = rhs - self.matrix @ x
-            if np.linalg.norm(residual) <= RESIDUAL_TOL * rhs_norm:
-                return x
-        raise LinearSolveError(
-            f"relative residual {np.linalg.norm(residual) / rhs_norm:.3e}"
-            f" above {RESIDUAL_TOL:.0e} after refinement"
-        )
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape != (self.n,):
-            raise ValueError(f"rhs shape {rhs.shape} does not match operator size {self.n}")
-        if self.n <= DIRECT_LIMIT:
-            return self._solve_direct(rhs)
-        return self._solve_iterative(rhs)
+    indptr: np.ndarray
+    indices: np.ndarray
+    stencil: np.ndarray
+    slot: np.ndarray
 
 
-def _step_matrix(grid: Grid, q_slice: np.ndarray, eps: float) -> sp.csr_matrix:
-    n = grid.num_points
-    lap = laplacian_matrix(grid)
-    t = transport_matrix(grid, q_slice)
-    return (sp.identity(n, format="csr") + grid.dt * (-eps * lap + t)).tocsr()
+@lru_cache(maxsize=8)
+def step_pattern(dim: int, points_per_dim: int) -> StepPattern:
+    n = points_per_dim
+    index = np.arange(n**dim).reshape((n,) * dim)
+    columns = [index]
+    for axis in range(dim):
+        columns += [np.roll(index, 1, axis=axis), np.roll(index, -1, axis=axis)]
+    stencil = np.stack([c.ravel() for c in columns], axis=1)
+    width = stencil.shape[1]
+    rows = np.repeat(np.arange(n**dim), width)
+    order = np.lexsort((rows, stencil.ravel()))  # by column, then by row
+    slot = np.empty(order.size, dtype=np.intp)
+    slot[order] = np.arange(order.size)
+    # each column holds `width` entries: point j is the diagonal of row j
+    # and, along each axis, the minus neighbour of one row and the plus
+    # neighbour of another (distinct rows, as points_per_dim >= 4)
+    pattern = StepPattern(
+        indptr=np.arange(0, order.size + 1, width, dtype=np.int32),
+        indices=rows[order].astype(np.int32),
+        stencil=stencil,
+        slot=slot.reshape(stencil.shape),
+    )
+    for array in pattern:
+        array.setflags(write=False)
+    return pattern
 
 
-def assemble_hjb_step(grid: Grid, q_slice: np.ndarray, eps: float) -> SparseOperator:
-    """Backward step operator B with B u^n = u^{n+1} + dt * source."""
-    return SparseOperator(_step_matrix(grid, q_slice, eps))
+def _step_matrix(grid: Grid, q: np.ndarray, eps: float) -> np.ndarray:
+    """Values of B_n for every level n < time_steps of the policy field q.
 
-
-def assemble_fp_step(grid: Grid, q_slice: np.ndarray, eps: float) -> SparseOperator:
-    """Forward step operator A with A m^{n+1} = m^n; A is exactly B^T."""
-    return SparseOperator(_step_matrix(grid, q_slice, eps).T.tocsr())
-
-
-def solve(op: SparseOperator, rhs: np.ndarray) -> np.ndarray:
-    return op.solve(rhs)
+    Returns a ``(time_steps, nnz)`` array in the CSC order of
+    :func:`step_pattern`.
+    """
+    dim, dx, dt = grid.dim, grid.dx, grid.dt
+    q = np.asarray(q, dtype=float)[: grid.time_steps]
+    a = np.maximum(q[..., :dim], 0.0)
+    c = np.minimum(q[..., dim:], 0.0)
+    diffusion = eps / dx**2
+    stencil = np.empty(q.shape[:2] + (1 + 2 * dim,))
+    stencil[..., 0] = 1.0 + dt * (2 * dim * diffusion + (a - c).sum(axis=-1) / dx)
+    stencil[..., 1::2] = dt * (-diffusion - a / dx)
+    stencil[..., 2::2] = dt * (-diffusion + c / dx)
+    pattern = step_pattern(dim, grid.points_per_dim)
+    values = np.empty((len(q), pattern.indices.size))
+    values[:, pattern.slot.ravel()] = stencil.reshape(len(q), -1)
+    return values

@@ -18,7 +18,6 @@ from mfg_inverse.grid import eo_hamiltonian, integrate, l2_norm
 from mfg_inverse.inverse_policy import invert_step_u0, policy_iteration_inverse
 from mfg_inverse.mfg_forward import INITIAL_VALUE, PDE_RHS, TERMINAL_RATE
 from mfg_inverse.pde import OperatorCache, solve_fp, solve_hjb_linear
-from mfg_inverse.sparse import assemble_fp_step, assemble_hjb_step
 from mfg_inverse import optim
 
 from conftest import random_policy, small_problem
@@ -270,9 +269,16 @@ def test_criterion_07_property_suite(rng):
 
     grid6 = make_grid(1, 6, 4, 1.0)
     q6 = rng.uniform(-1.0, 1.0, (6, 2))
-    fp_mat = assemble_fp_step(grid6, q6, 0.3, ).matrix.toarray()
-    hjb_mat = assemble_hjb_step(grid6, q6, 0.3).matrix.toarray()
-    duality = np.max(np.abs(fp_mat - hjb_mat.T))
+    ops6 = OperatorCache(grid6, 0.3, np.broadcast_to(q6, (5, 6, 2)))
+    # column j of the FP and HJB steps of every level, applied to unit vectors
+    fp_mat = np.empty((4, 6, 6))
+    hjb_mat = np.empty((4, 6, 6))
+    for j in range(6):
+        unit = np.zeros((4, 6))
+        unit[:, j] = 1.0
+        fp_mat[:, :, j] = ops6.apply(unit, transpose=True)
+        hjb_mat[:, :, j] = ops6.apply(unit)
+    duality = np.max(np.abs(fp_mat - hjb_mat.transpose(0, 2, 1)))
     if duality > 1e-14:
         failures.append(f"transpose duality gap {duality:.2e}")
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfg_inverse import generate_data
+from mfg_inverse import direct_ls, generate_data, policy_iteration_forward
 from mfg_inverse.direct_ls import direct_ls_solve, gradient_direct, objective_direct
 from mfg_inverse.grid import l2_norm
 from mfg_inverse.mfg_forward import INITIAL_VALUE, PDE_RHS, TERMINAL_RATE, measure
@@ -133,3 +133,28 @@ def test_extra_observations_are_rejected(tiny_problem):
     )
     with pytest.raises(ValueError, match="single observation"):
         objective_direct(prob, b_true, data)
+
+
+def test_cold_start_reuses_the_last_forward_solve(tiny_problem, monkeypatch):
+    # the optimizer's last evaluation is at the minimizer, so the final
+    # state needs no forward solve of its own
+    prob, b_true = tiny_problem
+    data = make_data(prob, b_true, TERMINAL_RATE)
+    forward_solves, evaluations = [], []
+
+    def counted_forward(*args, **kwargs):
+        forward_solves.append(1)
+        return policy_iteration_forward(*args, **kwargs)
+
+    def counted_gradient(*args, **kwargs):
+        evaluations.append(1)
+        return gradient_direct(*args, **kwargs)
+
+    monkeypatch.setattr(direct_ls, "policy_iteration_forward", counted_forward)
+    monkeypatch.setattr(direct_ls, "gradient_direct", counted_gradient)
+    result = direct_ls_solve(prob, data, opt_tol=1e-8, fwd_tol=1e-10, cold_start=True)
+    assert len(evaluations) >= 2
+    assert len(forward_solves) == len(evaluations)
+    _, fresh = objective_direct(prob, result.b, data, fwd_tol=1e-10)
+    np.testing.assert_array_equal(result.u, fresh.u)
+    np.testing.assert_array_equal(result.m, fresh.m)

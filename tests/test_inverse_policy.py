@@ -19,14 +19,18 @@ from mfg_inverse.mfg_forward import (
     InverseData,
     mfg_residual,
 )
+from mfg_inverse import inverse_policy
 from mfg_inverse.pde import (
     ConvergenceError,
     MFGProblem,
+    NonFiniteError,
     OperatorCache,
     solve_fp,
     solve_hjb_linear,
     without_coupling,
 )
+
+from mfg_inverse.sparse import LinearSolveError
 
 from conftest import small_problem
 from dense_reference import fit_line
@@ -297,3 +301,46 @@ def test_iteration_cap_raises_with_last_gap(rate_problem):
     with pytest.raises(ConvergenceError) as err:
         policy_iteration_inverse(prob, data, tol=1e-9, max_iter=2)
     assert err.value.last_gap > 1e-9
+
+
+def count_fp_sweeps(monkeypatch):
+    sweeps = []
+
+    def counted_solve_fp(*args):
+        sweeps.append(1)
+        return solve_fp(*args)
+
+    monkeypatch.setattr(inverse_policy, "solve_fp", counted_solve_fp)
+    return sweeps
+
+
+@pytest.mark.parametrize(
+    "level, error, message",
+    [
+        # the last level enters no step matrix, only the gap to the next policy
+        (-1, NonFiniteError, "the policy gap is non-finite after sweep 1"),
+        (0, LinearSolveError, "level 0: factorization failed"),
+    ],
+    ids=["terminal-level", "first-level"],
+)
+def test_nan_policy_fails_on_the_first_sweep(rate_result, rate_problem, monkeypatch, level, error, message):
+    prob, _ = rate_problem
+    data, _ = rate_result
+    sweeps = count_fp_sweeps(monkeypatch)
+    q0 = np.zeros((prob.grid.time_steps + 1, prob.grid.num_points, 2))
+    q0[level, 5, 0] = np.nan
+    with pytest.raises(error, match=message):
+        policy_iteration_inverse(prob, data, q0=q0, max_iter=60)
+    assert len(sweeps) == 1
+
+
+def test_non_finite_obstacle_is_named(rate_result, rate_problem, monkeypatch):
+    prob, _ = rate_problem
+    data, _ = rate_result
+    sweeps = count_fp_sweeps(monkeypatch)
+    monkeypatch.setattr(
+        inverse_policy, "closed_form_b", lambda *args: np.full(prob.grid.num_points, np.inf)
+    )
+    with pytest.raises(NonFiniteError, match="b is non-finite after sweep 1"):
+        policy_iteration_inverse(prob, data, max_iter=60)
+    assert len(sweeps) == 1

@@ -20,7 +20,9 @@ from mfg_inverse.mfg_forward import (
     mfg_residual,
     zero_policy,
 )
-from mfg_inverse.pde import ConvergenceError
+from mfg_inverse import mfg_forward
+from mfg_inverse.pde import ConvergenceError, NonFiniteError, solve_fp
+from mfg_inverse.sparse import LinearSolveError
 
 from conftest import small_problem
 
@@ -190,3 +192,28 @@ def test_measurement_rejects_non_finite_values():
     bad[3] = np.nan
     with pytest.raises(ValueError):
         InverseData(kind=INITIAL_VALUE, g=bad)
+
+
+@pytest.mark.parametrize(
+    "level, error, message",
+    [
+        # the last level enters no step matrix, only the gap to the next policy
+        (-1, NonFiniteError, "the policy gap is non-finite after sweep 1"),
+        (0, LinearSolveError, "level 0: factorization failed"),
+    ],
+    ids=["terminal-level", "first-level"],
+)
+def test_nan_policy_fails_on_the_first_sweep(monkeypatch, level, error, message):
+    prob = small_problem(points=16, steps=10)
+    sweeps = []
+
+    def counted_solve_fp(*args):
+        sweeps.append(1)
+        return solve_fp(*args)
+
+    monkeypatch.setattr(mfg_forward, "solve_fp", counted_solve_fp)
+    q0 = zero_policy(prob)
+    q0[level, 5, 0] = np.nan
+    with pytest.raises(error, match=message):
+        policy_iteration_forward(prob, np.zeros(16), q0=q0, max_iter=200)
+    assert len(sweeps) == 1
