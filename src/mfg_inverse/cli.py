@@ -20,6 +20,7 @@ import sys
 import traceback
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from . import __version__
 from .direct_ls import direct_ls_solve, gradient_direct, objective_direct
 from .grid import integrate, l2_norm, make_grid
 from .inverse_policy import (
+    OPT_TOL_SCHEDULES,
     InverseResult,
     policy_iteration_inverse,
     step2_gradient_u0,
@@ -34,21 +36,23 @@ from .inverse_policy import (
 from .mfg_forward import (
     DATA_KINDS,
     PDE_RHS,
+    TERMINAL_RATE,
     TERMINAL_RATE_MODES,
+    InverseData,
     generate_data,
     measure,
     policy_iteration_forward,
 )
 from .pde import MFGProblem, OperatorCache, solve_fp
 
-PRESETS = ("paper-1d", "paper-2d", "custom")
+# bundled problems and the spatial dimension each one fixes
+PRESETS = {"paper-1d": 1, "paper-2d": 2}
 METHODS = ("policy", "direct", "both")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     preset: str = "paper-1d"
-    dim: int = 1
     points_per_dim: int = 50
     time_steps: int = 100
     horizon: float = 1.0
@@ -71,27 +75,27 @@ class ExperimentConfig:
     output_dir: str = "mfg-out"
 
     def validate(self) -> "ExperimentConfig":
-        if self.preset not in PRESETS:
-            raise ValueError(f"preset must be one of {PRESETS}, got {self.preset!r}")
-        if self.data_kind not in DATA_KINDS:
-            raise ValueError(f"data_kind must be one of {DATA_KINDS}, got {self.data_kind!r}")
-        if self.terminal_rate_mode not in TERMINAL_RATE_MODES:
-            raise ValueError(
-                f"terminal_rate_mode must be one of {TERMINAL_RATE_MODES},"
-                f" got {self.terminal_rate_mode!r}"
-            )
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.opt_tol_schedule not in ("fixed", "tightening"):
-            raise ValueError(
-                f"opt_tol_schedule must be 'fixed' or 'tightening',"
-                f" got {self.opt_tol_schedule!r}"
-            )
+        for key, choices in _CHOICES.items():
+            value = getattr(self, key)
+            if value not in choices:
+                raise ValueError(f"{key} must be one of {tuple(choices)}, got {value!r}")
         if self.extra_observation_times and self.data_kind != "u0":
             raise ValueError("extra_observation_times require data_kind = u0")
         if self.noise_level < 0:
             raise ValueError("noise_level must be nonnegative")
+        direct = self.method in ("direct", "both")
+        if direct and self.data_kind == TERMINAL_RATE and self.terminal_rate_mode != PDE_RHS:
+            raise ValueError(f"direct least squares fits utT data in terminal_rate_mode {PDE_RHS} only")
         return self
+
+
+_CHOICES = {
+    "preset": PRESETS,
+    "data_kind": DATA_KINDS,
+    "terminal_rate_mode": TERMINAL_RATE_MODES,
+    "method": METHODS,
+    "opt_tol_schedule": OPT_TOL_SCHEDULES,
+}
 
 
 def _parse_bool(text: str) -> bool:
@@ -117,30 +121,18 @@ def _parse_optional_float(text: str) -> float | None:
     return float(text)
 
 
-_PARSERS = {
-    "preset": str,
-    "dim": int,
-    "points_per_dim": int,
-    "time_steps": int,
-    "horizon": float,
-    "eps": float,
-    "coupling_exponent": float,
-    "data_kind": str,
-    "terminal_rate_mode": str,
-    "extra_observation_times": _parse_times,
-    "noise_level": float,
-    "seed": int,
-    "method": str,
-    "gamma": _parse_optional_float,
-    "tol": float,
-    "opt_tol": float,
-    "opt_tol_schedule": str,
-    "max_iter": int,
-    "data_tol": float,
-    "fwd_tol": _parse_optional_float,
-    "cold_start": _parse_bool,
-    "output_dir": str,
+_TYPE_PARSERS = {
+    str: str,
+    int: int,
+    float: float,
+    bool: _parse_bool,
+    float | None: _parse_optional_float,
+    tuple[float, ...]: _parse_times,
 }
+
+# Each key's parser, chosen by its field's annotation; a field whose
+# annotation has no parser above makes this module fail at import.
+_PARSERS = {key: _TYPE_PARSERS[hint] for key, hint in get_type_hints(ExperimentConfig).items()}
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -172,11 +164,10 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> Exper
 def preset_problem(config: ExperimentConfig) -> tuple[MFGProblem, np.ndarray]:
     """Build the grid, problem data and true obstacle for a config.
 
-    The bundled presets fix the dimension and the obstacle family; the
-    custom preset keeps the same functional families but honors every
-    numeric knob in the config.
+    The preset fixes the dimension and the obstacle family; the grid,
+    eps and the coupling exponent come from the config.
     """
-    dim = {"paper-1d": 1, "paper-2d": 2}.get(config.preset, config.dim)
+    dim = PRESETS[config.preset]
     grid = make_grid(dim, config.points_per_dim, config.time_steps, config.horizon)
     x = grid.coordinates()
     if dim == 1:
@@ -197,6 +188,22 @@ def preset_problem(config: ExperimentConfig) -> tuple[MFGProblem, np.ndarray]:
     return prob, b_true
 
 
+def preset_data(config: ExperimentConfig) -> tuple[MFGProblem, np.ndarray, InverseData]:
+    """The preset problem, its true obstacle and the configured data."""
+    prob, b_true = preset_problem(config)
+    data = generate_data(
+        prob,
+        b_true,
+        config.data_kind,
+        noise_level=config.noise_level,
+        seed=config.seed,
+        fwd_tol=config.data_tol,
+        terminal_rate_mode=config.terminal_rate_mode,
+        extra_observation_times=config.extra_observation_times,
+    )
+    return prob, b_true, data
+
+
 def _format(value: float) -> str:
     return repr(float(value))
 
@@ -212,7 +219,6 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None
 def _write_outputs(
     out_dir: Path,
     name: str,
-    config: ExperimentConfig,
     prob: MFGProblem,
     b_true: np.ndarray,
     data,
@@ -266,17 +272,7 @@ def _write_outputs(
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run the configured reconstruction(s) and write all output files."""
     config = config.validate()
-    prob, b_true = preset_problem(config)
-    data = generate_data(
-        prob,
-        b_true,
-        config.data_kind,
-        noise_level=config.noise_level,
-        seed=config.seed,
-        fwd_tol=config.data_tol,
-        terminal_rate_mode=config.terminal_rate_mode,
-        extra_observation_times=config.extra_observation_times,
-    )
+    prob, b_true, data = preset_data(config)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     created: list[Path] = []
@@ -298,7 +294,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 b_true=b_true,
             )
             summary["methods"]["policy"] = _write_outputs(
-                out_dir, "policy", config, prob, b_true, data, result, created
+                out_dir, "policy", prob, b_true, data, result, created
             )
         if config.method in ("direct", "both"):
             result = direct_ls_solve(
@@ -306,13 +302,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
                 data,
                 gamma=config.gamma,
                 opt_tol=config.opt_tol,
-                max_iter=config.max_iter if config.method == "direct" else 100,
+                max_iter=config.max_iter,
                 fwd_tol=config.fwd_tol if config.fwd_tol is not None else config.tol,
                 cold_start=config.cold_start,
                 b_true=b_true,
             )
             summary["methods"]["direct"] = _write_outputs(
-                out_dir, "direct", config, prob, b_true, data, result, created
+                out_dir, "direct", prob, b_true, data, result, created
             )
         summary_path = out_dir / "summary.json"
         summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
@@ -339,19 +335,9 @@ def run_gradcheck(config: ExperimentConfig, directions: int = 10, h: float = 1e-
     seeded generator.
     """
     config = config.validate()
-    prob, b_true = preset_problem(config)
-    grid = prob.grid
     rng = np.random.default_rng(config.seed)
-    data = generate_data(
-        prob,
-        b_true,
-        config.data_kind,
-        noise_level=config.noise_level,
-        seed=config.seed,
-        fwd_tol=config.data_tol,
-        terminal_rate_mode=config.terminal_rate_mode,
-        extra_observation_times=config.extra_observation_times,
-    )
+    prob, b_true, data = preset_data(config)
+    grid = prob.grid
     # a generic but physically plausible linearization point
     warm = policy_iteration_forward(prob, b_true, tol=1e-3, max_iter=50)
     q = warm.q
@@ -359,34 +345,30 @@ def run_gradcheck(config: ExperimentConfig, directions: int = 10, h: float = 1e-
     b_point = b_true + 0.2 * rng.standard_normal(grid.num_points)
     gamma = config.gamma if config.gamma is not None else (0.0 if config.noise_level == 0 else 1e-6)
 
-    report = {}
-    if config.data_kind == "u0":
-        ops = OperatorCache(grid, prob.eps, q)
-        _, grad = step2_gradient_u0(prob, q, m, b_point, data, gamma, ops)
+    def fd_check(fun, grad, tolerance):
         worst = 0.0
         for _ in range(directions):
             delta = rng.standard_normal(grid.num_points)
             delta /= l2_norm(grid, delta)
-            fp = step2_gradient_u0(prob, q, m, b_point + h * delta, data, gamma, ops)[0]
-            fm = step2_gradient_u0(prob, q, m, b_point - h * delta, data, gamma, ops)[0]
-            fd = (fp - fm) / (2 * h)
+            fd = (fun(b_point + h * delta) - fun(b_point - h * delta)) / (2 * h)
             an = float(np.sum(grad * delta) * grid.cell_volume)
             worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-30))
-        report["step2_u0"] = {"max_rel_error": worst, "tolerance": 1e-4, "ok": worst <= 1e-4}
+        return {"max_rel_error": worst, "tolerance": tolerance, "ok": worst <= tolerance}
+
+    report = {}
+    if config.data_kind == "u0":
+        ops = OperatorCache(grid, prob.eps, q)
+        _, grad = step2_gradient_u0(prob, q, m, b_point, data, gamma, ops)
+        report["step2_u0"] = fd_check(
+            lambda b: step2_gradient_u0(prob, q, m, b, data, gamma, ops)[0], grad, 1e-4
+        )
 
     fwd_tol = min(config.data_tol, 1e-11)
-    base_value, base_sol = objective_direct(prob, b_point, data, gamma, fwd_tol)
+    _, base_sol = objective_direct(prob, b_point, data, gamma, fwd_tol)
     grad = gradient_direct(prob, b_point, data, base_sol, gamma, adj_tol=1e-12)
-    worst = 0.0
-    for _ in range(directions):
-        delta = rng.standard_normal(grid.num_points)
-        delta /= l2_norm(grid, delta)
-        fp = objective_direct(prob, b_point + h * delta, data, gamma, fwd_tol, base_sol.q)[0]
-        fm = objective_direct(prob, b_point - h * delta, data, gamma, fwd_tol, base_sol.q)[0]
-        fd = (fp - fm) / (2 * h)
-        an = float(np.sum(grad * delta) * grid.cell_volume)
-        worst = max(worst, abs(fd - an) / max(abs(fd), abs(an), 1e-30))
-    report["direct_ls"] = {"max_rel_error": worst, "tolerance": 1e-3, "ok": worst <= 1e-3}
+    report["direct_ls"] = fd_check(
+        lambda b: objective_direct(prob, b, data, gamma, fwd_tol, base_sol.q)[0], grad, 1e-3
+    )
     return report
 
 

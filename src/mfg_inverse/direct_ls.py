@@ -9,12 +9,14 @@ linear PDE sweeps when the forward solve starts cold.
 
 Terminal rate measurements are evaluated through the right-hand side of
 the equation at the final time (see :mod:`mfg_inverse.mfg_forward`),
-which keeps the objective and its adjoint gradient consistent.
+which keeps the objective and its adjoint gradient consistent; terminal
+rate data recorded in another mode are rejected.
 """
 
 from __future__ import annotations
 
 import time
+import warnings
 
 import numpy as np
 
@@ -49,6 +51,11 @@ def objective_direct(
     """
     if data.extra:
         raise ValueError("the direct solver supports a single observation")
+    if data.kind == TERMINAL_RATE and data.terminal_rate_mode != PDE_RHS:
+        raise ValueError(
+            f"the direct solver fits terminal rate data in mode {PDE_RHS!r} only,"
+            f" got {data.terminal_rate_mode!r}"
+        )
     sol = policy_iteration_forward(prob, b, q0=q_init, tol=fwd_tol, max_iter=max_fwd_iter)
     predicted = measure(prob, sol.u, sol.m, b, data.kind, PDE_RHS)
     value = 0.5 * l2_norm(prob.grid, predicted - data.g) ** 2
@@ -110,7 +117,9 @@ def direct_ls_solve(
     zero policy every time, which is the faithful costing of the
     baseline.  In the returned result ``policy_gap_history`` holds the
     sup-norm gradient at each accepted iterate (there is no policy gap
-    for this method) and ``optimizer_iterations`` is empty.
+    for this method) and ``optimizer_iterations`` is empty.  A run that
+    stops without meeting ``opt_tol`` warns with a RuntimeWarning and
+    returns its last iterate.
     """
     grid = prob.grid
     if gamma is None:
@@ -139,6 +148,13 @@ def direct_ls_solve(
         opt_history.append(state["opt"])
 
     report = optim.minimize(fun_and_grad, b0, opt_tol, max_iter, callback=record)
+    if not report.converged:
+        warnings.warn(
+            f"direct least squares stopped unconverged: {report.message},"
+            f" optimality {report.first_order_optimality:.3e} (tolerance {opt_tol:.0e})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     # final state: re-solve at the minimizer unless it is already current
     sol = state["sol"]
     if not np.array_equal(state["b"], report.minimizer):

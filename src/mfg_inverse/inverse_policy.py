@@ -32,20 +32,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optim
-from .grid import (
-    Grid,
-    eo_hamiltonian,
-    gradient_field,
-    l2_norm,
-    laplacian_apply,
-    one_sided_gradients,
-    policy_gap,
-)
-from .mfg_forward import INITIAL_VALUE, TERMINAL_RATE, InverseData, zero_policy
+from .grid import gradient_field, l2_norm, laplacian_apply, one_sided_gradients, policy_gap
+from .mfg_forward import PDE_RHS, TERMINAL_RATE, InverseData, measure, zero_policy
 from .pde import ConvergenceError, MFGProblem, OperatorCache, require_finite, solve_adjoint_w, solve_fp, solve_hjb_linear
 
 # A line-search stall this far above opt_tol is treated as failure.
 STALL_SLACK = 1e4
+
+# Step (ii) tolerance schedules of policy_iteration_inverse.
+OPT_TOL_SCHEDULES = ("fixed", "tightening")
 
 
 class InversionError(RuntimeError):
@@ -74,32 +69,17 @@ class InverseResult:
     optimizer_iterations: list[int] = field(default_factory=list)
 
 
-def policy_update(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """New policy: the one-sided gradient pairs of u at every time level."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (grid.time_steps + 1, grid.num_points):
-        raise ValueError(
-            f"expected value field of shape {(grid.time_steps + 1, grid.num_points)},"
-            f" got {u.shape}"
-        )
-    return gradient_field(grid, u)
-
-
-def closed_form_b(prob: MFGProblem, q: np.ndarray, m: np.ndarray, g: np.ndarray) -> np.ndarray:
+def closed_form_b(prob: MFGProblem, m: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Explicit obstacle update from terminal rate data.
 
-    b = -g - eps * Lap u_T + H_hat(grad u_T) - F(m(., T)).  The policy
-    enters only through m; after the first iteration q(., T) equals
-    grad u_T anyway, which is why the advection and running cost terms
-    collapse into H_hat.
+    The ``pde_rhs`` measurement is affine in b with slope -1, so
+    b = (measurement at b = 0) - g = -g - eps * Lap u_T + H_hat(grad u_T)
+    - F(m(., T)).  The policy enters only through m; after the first
+    iteration q(., T) equals grad u_T anyway, which is why the advection
+    and running cost terms collapse into H_hat.
     """
-    grid = prob.grid
-    return (
-        -np.asarray(g, dtype=float)
-        - prob.eps * laplacian_apply(grid, prob.uT)
-        + eo_hamiltonian(grid, one_sided_gradients(grid, prob.uT))
-        - prob.coupling(m[grid.time_steps])
-    )
+    zero = np.zeros(prob.grid.num_points)
+    return measure(prob, None, m, zero, TERMINAL_RATE, PDE_RHS) - g
 
 
 def _regularizer(prob: MFGProblem, b: np.ndarray, gamma: float) -> tuple[float, np.ndarray]:
@@ -117,33 +97,28 @@ def _regularizer(prob: MFGProblem, b: np.ndarray, gamma: float) -> tuple[float, 
     return value, -gamma * laplacian_apply(grid, b)
 
 
-def _observations(data: InverseData) -> list[tuple[int, np.ndarray]]:
-    return [(0, data.g), *data.extra]
-
-
 def step2_gradient_u0(
     prob: MFGProblem,
     q: np.ndarray,
     m: np.ndarray,
     b: np.ndarray,
-    g: np.ndarray | InverseData,
+    data: InverseData,
     gamma: float,
     ops: OperatorCache | None = None,
 ) -> tuple[float, np.ndarray]:
     """Objective and L2 gradient of the step (ii) least-squares problem.
 
-    Accepts either the plain initial-value measurement or a full
-    :class:`InverseData` carrying additional observation times.  Each
-    observation contributes the adjoint sweep of its residual, started
-    at its own time level, integrated with the right-endpoint rule.
+    Each observation of ``data``, the initial value and any further
+    observation times, contributes the adjoint sweep of its residual,
+    started at its own time level, integrated with the right-endpoint
+    rule.
     """
     grid = prob.grid
     if ops is None:
         ops = OperatorCache(grid, prob.eps, q)
-    observations = _observations(g) if isinstance(g, InverseData) else [(0, np.asarray(g, dtype=float))]
     u = solve_hjb_linear(prob, q, m, b, ops)
     value, gradient = _regularizer(prob, b, gamma)
-    for level, g_obs in observations:
+    for level, g_obs in [(0, data.g), *data.extra]:
         residual = u[level] - g_obs
         value += 0.5 * l2_norm(grid, residual) ** 2
         w = solve_adjoint_w(prob, q, residual, ops, start_level=level)
@@ -155,7 +130,7 @@ def invert_step_u0(
     prob: MFGProblem,
     q: np.ndarray,
     m: np.ndarray,
-    data: InverseData | np.ndarray,
+    data: InverseData,
     gamma: float,
     b_init: np.ndarray,
     opt_tol: float = 1e-10,
@@ -220,8 +195,8 @@ def policy_iteration_inverse(
     the default keeps it fixed at ``opt_tol``.  Raises NonFiniteError on
     the first sweep whose density, obstacle or policy gap is not finite.
     """
-    if opt_tol_schedule not in ("fixed", "tightening"):
-        raise ValueError(f"unknown opt_tol_schedule {opt_tol_schedule!r}")
+    if opt_tol_schedule not in OPT_TOL_SCHEDULES:
+        raise ValueError(f"opt_tol_schedule must be one of {OPT_TOL_SCHEDULES}, got {opt_tol_schedule!r}")
     if gamma is None:
         gamma = 0.0 if data.noise_level == 0.0 else 1e-6
     grid = prob.grid
@@ -238,7 +213,7 @@ def policy_iteration_inverse(
         m = solve_fp(prob, q, ops)
         require_finite("m", m, k, gaps)
         if data.kind == TERMINAL_RATE:
-            b = closed_form_b(prob, q, m, data.g)
+            b = closed_form_b(prob, m, data.g)
         else:
             step_tol = opt_tol
             if opt_tol_schedule == "tightening":
@@ -251,7 +226,7 @@ def policy_iteration_inverse(
             opt_iters.append(report.iterations)
         require_finite("b", b, k, gaps)
         u = solve_hjb_linear(prob, q, m, b, ops)
-        q_new = policy_update(grid, u)
+        q_new = gradient_field(grid, u)
         gap = policy_gap(grid, q_new, q)
         gaps.append(gap)
         require_finite("the policy gap", gap, k, gaps)

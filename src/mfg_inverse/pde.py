@@ -11,7 +11,7 @@ changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,9 +50,7 @@ class MFGProblem:
     """Mean-field game data on a periodic grid.
 
     The Hamiltonian is quadratic, H(p) = |p|^2 / 2, and the coupling is
-    the power law F(m) = coupling_scale * m ** coupling_exponent.
-    ``coupling_scale`` exists so test harnesses can switch the coupling
-    off; production problems keep it at 1.
+    the power law F(m) = m ** coupling_exponent.
     """
 
     grid: Grid
@@ -60,14 +58,10 @@ class MFGProblem:
     m0: np.ndarray
     uT: np.ndarray
     coupling_exponent: float = 2.0
-    coupling_scale: float = 1.0
-    hamiltonian: str = "quadratic"
 
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.hamiltonian != "quadratic":
-            raise ValueError(f"only the quadratic Hamiltonian is supported, got {self.hamiltonian!r}")
         if self.coupling_exponent < 1:
             raise ValueError(f"coupling_exponent must be >= 1, got {self.coupling_exponent}")
         m0 = np.asarray(self.m0, dtype=float)
@@ -75,6 +69,9 @@ class MFGProblem:
         n = self.grid.num_points
         if m0.shape != (n,) or uT.shape != (n,):
             raise ValueError(f"m0 and uT must have shape ({n},)")
+        for name, value in (("m0", m0), ("uT", uT)):
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite")
         if m0.min() < 0:
             raise ValueError("m0 must be nonnegative pointwise")
         mass = integrate(self.grid, m0)
@@ -85,20 +82,12 @@ class MFGProblem:
 
     def coupling(self, m: np.ndarray) -> np.ndarray:
         """F(m)."""
-        if self.coupling_scale == 0.0:
-            return np.zeros_like(m)
-        return self.coupling_scale * np.power(m, self.coupling_exponent)
+        return np.power(m, self.coupling_exponent)
 
     def coupling_derivative(self, m: np.ndarray) -> np.ndarray:
         """F'(m)."""
-        if self.coupling_scale == 0.0:
-            return np.zeros_like(m)
         a = self.coupling_exponent
-        return self.coupling_scale * a * np.power(m, a - 1.0)
-
-
-def without_coupling(prob: MFGProblem) -> MFGProblem:
-    return replace(prob, coupling_scale=0.0)
+        return a * np.power(m, a - 1.0)
 
 
 class OperatorCache:

@@ -18,6 +18,20 @@ def small_problem(dim=1, points=8, steps=10, horizon=1.0, eps=0.3, width=40.0):
     return MFGProblem(grid=grid, eps=eps, m0=m0, uT=-m0, coupling_exponent=2.0)
 
 
+class UncoupledProblem(MFGProblem):
+    """The same problem with the coupling F switched off."""
+
+    def coupling(self, m):
+        return np.zeros_like(m)
+
+    def coupling_derivative(self, m):
+        return np.zeros_like(m)
+
+
+def without_coupling(prob):
+    return UncoupledProblem(prob.grid, prob.eps, prob.m0, prob.uT, prob.coupling_exponent)
+
+
 def random_policy(grid, rng, scale=1.0):
     """Bounded random policy field over all time levels."""
     return scale * rng.uniform(-1.0, 1.0, size=(grid.time_steps + 1, grid.num_points, 2 * grid.dim))

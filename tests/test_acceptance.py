@@ -16,7 +16,7 @@ from mfg_inverse.cli import ExperimentConfig, preset_problem, run_gradcheck
 from mfg_inverse.direct_ls import direct_ls_solve
 from mfg_inverse.grid import eo_hamiltonian, integrate, l2_norm
 from mfg_inverse.inverse_policy import invert_step_u0, policy_iteration_inverse
-from mfg_inverse.mfg_forward import INITIAL_VALUE, PDE_RHS, TERMINAL_RATE
+from mfg_inverse.mfg_forward import INITIAL_VALUE, PDE_RHS, TERMINAL_RATE, InverseData
 from mfg_inverse.pde import OperatorCache, solve_fp, solve_hjb_linear
 from mfg_inverse import optim
 
@@ -286,7 +286,7 @@ def test_criterion_07_property_suite(rng):
     # normal-equations cross-check of the least-squares step
     report = run_gradcheck(
         ExperimentConfig(
-            preset="custom", points_per_dim=8, time_steps=10, data_kind="u0"
+            preset="paper-1d", points_per_dim=8, time_steps=10, data_kind="u0"
         )
     )
     for name, entry in report.items():
@@ -311,7 +311,8 @@ def test_criterion_07_property_suite(rng):
     normal = columns.T @ columns + gamma * diff.T @ diff
     b_star = np.linalg.solve(normal, columns.T @ (g - u0_zero))
     b_opt, _ = invert_step_u0(
-        tiny, q8, m8, g, gamma, np.zeros(n), opt_tol=1e-12, max_opt_iter=1000
+        tiny, q8, m8, InverseData(kind=INITIAL_VALUE, g=g), gamma, np.zeros(n),
+        opt_tol=1e-12, max_opt_iter=1000,
     )
     ls_gap = np.max(np.abs(b_opt - b_star))
     if ls_gap > 1e-6:

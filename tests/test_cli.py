@@ -1,10 +1,14 @@
 import json
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mfg_inverse.cli import (
     ExperimentConfig,
+    _collect_overrides,
     load_config,
     main,
     parse_config_file,
@@ -15,7 +19,7 @@ from mfg_inverse.grid import integrate
 from mfg_inverse.pde import ConvergenceError
 
 TINY = dict(
-    preset="custom",
+    preset="paper-1d",
     points_per_dim=16,
     time_steps=20,
     tol=1e-9,
@@ -34,7 +38,7 @@ def test_parse_config_file(tmp_path):
     path.write_text(
         "# full line comment\n"
         "\n"
-        "preset = custom   # trailing comment\n"
+        "preset = paper-1d   # trailing comment\n"
         "points_per_dim = 24\n"
         "gamma = auto\n"
         "cold_start = yes\n"
@@ -42,7 +46,7 @@ def test_parse_config_file(tmp_path):
     )
     values = parse_config_file(path)
     assert values == {
-        "preset": "custom",
+        "preset": "paper-1d",
         "points_per_dim": 24,
         "gamma": None,
         "cold_start": True,
@@ -52,13 +56,13 @@ def test_parse_config_file(tmp_path):
 
 def test_parse_config_file_reports_position(tmp_path):
     path = tmp_path / "bad.cfg"
-    path.write_text("preset = custom\nwhatever = 3\n")
+    path.write_text("preset = paper-1d\nwhatever = 3\n")
     with pytest.raises(ValueError, match=r"bad\.cfg:2: unknown key 'whatever'"):
         parse_config_file(path)
     path.write_text("just a line\n")
     with pytest.raises(ValueError, match="expected 'key = value'"):
         parse_config_file(path)
-    path.write_text("dim = one\n")
+    path.write_text("time_steps = one\n")
     with pytest.raises(ValueError):
         parse_config_file(path)
 
@@ -69,7 +73,7 @@ def test_overrides_beat_file_values(tmp_path):
     config = load_config(path, {"tol": "1e-5"})
     assert config.tol == 1e-5
     assert config.seed == 4
-    assert config.dim == 1
+    assert config.points_per_dim == 50
     with pytest.raises(ValueError, match="unknown config key"):
         load_config(path, {"tolerance": "1e-5"})
 
@@ -84,11 +88,45 @@ def test_overrides_beat_file_values(tmp_path):
         {"opt_tol_schedule": "loose"},
         {"extra_observation_times": (0.5,)},
         {"noise_level": -0.1},
+        {"method": "direct", "terminal_rate_mode": "backward_diff"},
+        {"method": "both", "terminal_rate_mode": "backward_diff"},
     ],
 )
 def test_validate_rejects_bad_values(bad):
     with pytest.raises(ValueError):
         ExperimentConfig(**bad).validate()
+
+
+def test_validate_accepts_backward_difference_rates_for_policy_iteration():
+    ExperimentConfig(terminal_rate_mode="backward_diff").validate()
+    ExperimentConfig(method="both", data_kind="u0", terminal_rate_mode="backward_diff").validate()
+
+
+def as_text(value):
+    if value is None:
+        return "auto"
+    if isinstance(value, tuple):
+        return ", ".join(repr(v) for v in value)
+    return str(value)
+
+
+@pytest.mark.parametrize("field", fields(ExperimentConfig), ids=lambda f: f.name)
+def test_default_parses_back_from_text(field, tmp_path):
+    default = field.default
+    text = as_text(default)
+    path = tmp_path / "defaults.cfg"
+    path.write_text(f"{field.name} = {text}\n")
+    assert parse_config_file(path) == {field.name: default}
+    flag = "--" + field.name.replace("_", "-")
+    config = load_config(None, _collect_overrides([flag, text]))
+    assert getattr(config, field.name) == default
+
+
+def test_readme_config_table_lists_every_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Config keys", 1)[1].split("###", 1)[0]
+    keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
+    assert keys == [f.name for f in fields(ExperimentConfig)]
 
 
 def test_one_dimensional_preset_values():
@@ -130,7 +168,7 @@ def test_run_writes_every_output_file(tiny_run):
     assert (out / "summary.json").exists()
     on_disk = json.loads((out / "summary.json").read_text())
     assert on_disk["config"] == summary["config"]
-    assert len(on_disk["config"]) == 22
+    assert len(on_disk["config"]) == len(fields(ExperimentConfig))
 
 
 def test_reconstruction_csv_round_trips_floats(tiny_run):
@@ -203,7 +241,7 @@ def test_main_run_and_exit_codes(tmp_path, capsys):
     code = main(
         [
             "run",
-            "--preset", "custom",
+            "--preset", "paper-1d",
             "--points-per-dim", "16",
             "--time-steps", "20",
             "--tol", "1e-9",
@@ -227,7 +265,7 @@ def test_main_gradcheck(tmp_path, capsys):
     code = main(
         [
             "gradcheck",
-            "--preset", "custom",
+            "--preset", "paper-1d",
             "--points-per-dim", "8",
             "--time-steps", "10",
             "--data-kind", "u0",
@@ -245,7 +283,7 @@ def test_main_sweep(tmp_path, capsys, monkeypatch):
     config_dir = tmp_path / "grid-sweep"
     config_dir.mkdir()
     base = (
-        "preset = custom\npoints_per_dim = 16\ntime_steps = 20\n"
+        "preset = paper-1d\npoints_per_dim = 16\ntime_steps = 20\n"
         "tol = 1e-9\ndata_tol = 1e-12\n"
     )
     (config_dir / "a.cfg").write_text(base)

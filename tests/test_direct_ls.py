@@ -4,10 +4,9 @@ import pytest
 from mfg_inverse import direct_ls, generate_data, policy_iteration_forward
 from mfg_inverse.direct_ls import direct_ls_solve, gradient_direct, objective_direct
 from mfg_inverse.grid import l2_norm
-from mfg_inverse.mfg_forward import INITIAL_VALUE, PDE_RHS, TERMINAL_RATE, measure
-from mfg_inverse.pde import without_coupling
+from mfg_inverse.mfg_forward import BACKWARD_DIFF, INITIAL_VALUE, PDE_RHS, TERMINAL_RATE, measure
 
-from conftest import small_problem
+from conftest import small_problem, without_coupling
 
 KINDS = [TERMINAL_RATE, INITIAL_VALUE]
 
@@ -133,6 +132,28 @@ def test_extra_observations_are_rejected(tiny_problem):
     )
     with pytest.raises(ValueError, match="single observation"):
         objective_direct(prob, b_true, data)
+
+
+def test_backward_difference_rate_data_is_rejected(tiny_problem):
+    # the objective and its adjoint evaluate the rate through the equation,
+    # which data recorded as a backward difference do not match
+    prob, b_true = tiny_problem
+    data = generate_data(
+        prob, b_true, TERMINAL_RATE, fwd_tol=1e-10, terminal_rate_mode=BACKWARD_DIFF
+    )
+    with pytest.raises(ValueError, match="backward_diff"):
+        objective_direct(prob, b_true, data)
+    with pytest.raises(ValueError, match="backward_diff"):
+        direct_ls_solve(prob, data)
+
+
+def test_unconverged_solve_warns_and_returns_last_iterate(tiny_problem):
+    prob, b_true = tiny_problem
+    data = make_data(prob, b_true, TERMINAL_RATE)
+    with pytest.warns(RuntimeWarning, match="iteration cap reached, optimality"):
+        result = direct_ls_solve(prob, data, opt_tol=1e-12, max_iter=1, fwd_tol=1e-10)
+    assert result.iterations == 1
+    assert np.all(np.isfinite(result.b))
 
 
 def test_cold_start_reuses_the_last_forward_solve(tiny_problem, monkeypatch):

@@ -3,13 +3,12 @@ import pytest
 
 from mfg_inverse import generate_data, make_grid, policy_iteration_forward
 from mfg_inverse.cli import ExperimentConfig, preset_problem
-from mfg_inverse.grid import gradient_field, l2_norm
+from mfg_inverse.grid import l2_norm
 from mfg_inverse.inverse_policy import (
     InversionError,
     closed_form_b,
     invert_step_u0,
     policy_iteration_inverse,
-    policy_update,
     step2_gradient_u0,
 )
 from mfg_inverse.mfg_forward import (
@@ -27,12 +26,11 @@ from mfg_inverse.pde import (
     OperatorCache,
     solve_fp,
     solve_hjb_linear,
-    without_coupling,
 )
 
 from mfg_inverse.sparse import LinearSolveError
 
-from conftest import small_problem
+from conftest import small_problem, without_coupling
 from dense_reference import fit_line
 
 
@@ -64,30 +62,16 @@ def preset_result():
     return prob, b_true, data, result
 
 
-def test_policy_update_takes_one_sided_gradients(rng):
-    grid = make_grid(1, 12, 6, 1.0)
-    u = rng.uniform(-1.0, 1.0, (7, 12))
-    np.testing.assert_array_equal(policy_update(grid, u), gradient_field(grid, u))
-    assert np.all(policy_update(grid, np.ones((7, 12))) == 0.0)
-
-
-def test_policy_update_rejects_wrong_shape():
-    grid = make_grid(1, 12, 6, 1.0)
-    with pytest.raises(ValueError, match="shape"):
-        policy_update(grid, np.zeros((6, 12)))
-
-
-def test_closed_form_b_reduces_to_coupling_on_flat_data(rng):
+def test_closed_form_b_reduces_to_coupling_on_flat_data():
     grid = make_grid(1, 8, 10, 1.0)
     prob = MFGProblem(grid=grid, eps=0.3, m0=np.ones(8), uT=np.zeros(8))
-    q = rng.uniform(-1.0, 1.0, (11, 8, 2))
     m = np.ones((11, 8))
     # with flat value data only -g - F(m_T) survives
     np.testing.assert_allclose(
-        closed_form_b(prob, q, m, np.zeros(8)), -1.0, rtol=0, atol=1e-14
+        closed_form_b(prob, m, np.zeros(8)), -1.0, rtol=0, atol=1e-14
     )
     np.testing.assert_allclose(
-        closed_form_b(without_coupling(prob), q, m, np.full(8, 0.7)),
+        closed_form_b(without_coupling(prob), m, np.full(8, 0.7)),
         -0.7,
         rtol=0,
         atol=1e-14,
@@ -102,7 +86,7 @@ def test_closed_form_b_reextracts_obstacle_from_rate_data():
     data = generate_data(
         prob, b_true, TERMINAL_RATE, fwd_tol=1e-11, terminal_rate_mode=PDE_RHS
     )
-    b_back = closed_form_b(prob, sol.q, sol.m, data.g)
+    b_back = closed_form_b(prob, sol.m, data.g)
     # the measurement and the update use the same discrete operators, so
     # feeding the true density back cancels everything except b itself
     np.testing.assert_allclose(b_back, b_true, rtol=0, atol=1e-12)
@@ -121,8 +105,8 @@ def test_step2_objective_vanishes_on_consistent_data(quadratic_setup):
     prob, q, m = quadratic_setup
     x = prob.grid.coordinates()[:, 0]
     b = 0.3 * np.sin(2 * np.pi * x)
-    g = solve_hjb_linear(prob, q, m, b)[0]
-    value, gradient = step2_gradient_u0(prob, q, m, b, g, 0.0)
+    data = InverseData(kind=INITIAL_VALUE, g=solve_hjb_linear(prob, q, m, b)[0])
+    value, gradient = step2_gradient_u0(prob, q, m, b, data, 0.0)
     assert value <= 1e-18
     assert np.max(np.abs(gradient)) <= 1e-12
 
@@ -130,9 +114,9 @@ def test_step2_objective_vanishes_on_consistent_data(quadratic_setup):
 def test_step2_regularizer_ignores_constant_obstacles(quadratic_setup, rng):
     prob, q, m = quadratic_setup
     b = np.full(prob.grid.num_points, 1.3)
-    g = rng.uniform(-1.0, 1.0, prob.grid.num_points)
-    plain = step2_gradient_u0(prob, q, m, b, g, 0.0)
-    regularized = step2_gradient_u0(prob, q, m, b, g, 1.0)
+    data = InverseData(kind=INITIAL_VALUE, g=rng.uniform(-1.0, 1.0, prob.grid.num_points))
+    plain = step2_gradient_u0(prob, q, m, b, data, 0.0)
+    regularized = step2_gradient_u0(prob, q, m, b, data, 1.0)
     assert regularized[0] == plain[0]
     np.testing.assert_array_equal(regularized[1], plain[1])
 
@@ -142,11 +126,8 @@ def test_step2_gradient_matches_finite_differences(quadratic_setup, rng, extra_l
     prob, q, m = quadratic_setup
     grid = prob.grid
     g = rng.uniform(-1.0, 1.0, grid.num_points)
-    if extra_levels:
-        extra = [(lvl, rng.uniform(-1.0, 1.0, grid.num_points)) for lvl in extra_levels]
-        target = InverseData(kind=INITIAL_VALUE, g=g, extra=extra, noise_level=0.0)
-    else:
-        target = g
+    extra = tuple((lvl, rng.uniform(-1.0, 1.0, grid.num_points)) for lvl in extra_levels)
+    target = InverseData(kind=INITIAL_VALUE, g=g, extra=extra, noise_level=0.0)
     b0 = rng.uniform(-0.5, 0.5, grid.num_points)
     gamma = 1e-4
     _, gradient = step2_gradient_u0(prob, q, m, b0, target, gamma)
@@ -182,7 +163,8 @@ def test_invert_step_matches_dense_normal_equations(quadratic_setup, rng):
     normal = columns.T @ columns + gamma * forward_diff.T @ forward_diff
     b_star = np.linalg.solve(normal, columns.T @ (g - u0_zero))
     b_opt, _ = invert_step_u0(
-        prob, q, m, g, gamma, np.zeros(n), opt_tol=1e-12, max_opt_iter=1000
+        prob, q, m, InverseData(kind=INITIAL_VALUE, g=g), gamma, np.zeros(n),
+        opt_tol=1e-12, max_opt_iter=1000,
     )
     np.testing.assert_allclose(b_opt, b_star, rtol=0, atol=1e-6)
 
@@ -191,7 +173,7 @@ def test_invert_step_matches_dense_normal_equations(quadratic_setup, rng):
 def test_invert_step_warm_restart_is_immediate(quadratic_setup, rng):
     prob, q, m = quadratic_setup
     n = prob.grid.num_points
-    g = rng.uniform(-1.0, 1.0, n)
+    g = InverseData(kind=INITIAL_VALUE, g=rng.uniform(-1.0, 1.0, n))
     b_opt, report = invert_step_u0(
         prob, q, m, g, 1e-4, np.zeros(n), opt_tol=1e-12, max_opt_iter=1000
     )
@@ -205,7 +187,7 @@ def test_invert_step_warm_restart_is_immediate(quadratic_setup, rng):
 
 def test_invert_step_raises_when_budget_exhausted(quadratic_setup, rng):
     prob, q, m = quadratic_setup
-    g = rng.uniform(-1.0, 1.0, prob.grid.num_points)
+    g = InverseData(kind=INITIAL_VALUE, g=rng.uniform(-1.0, 1.0, prob.grid.num_points))
     with pytest.raises(InversionError, match="optimizer failed"):
         invert_step_u0(
             prob, q, m, g, 0.0, np.zeros(prob.grid.num_points),
@@ -272,7 +254,7 @@ def test_preset_sweep_count_in_published_range(preset_result):
 
 def test_two_dimensional_reconstruction_converges():
     config = ExperimentConfig(
-        preset="paper-2d", dim=2, points_per_dim=20, time_steps=20, tol=1e-8
+        preset="paper-2d", points_per_dim=20, time_steps=20, tol=1e-8
     )
     prob, b_true = preset_problem(config)
     data = generate_data(

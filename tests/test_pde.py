@@ -11,10 +11,9 @@ from mfg_inverse.pde import (
     solve_coupled_adjoint,
     solve_fp,
     solve_hjb_linear,
-    without_coupling,
 )
 
-from conftest import random_policy, small_problem
+from conftest import random_policy, small_problem, without_coupling
 from dense_reference import dense_coupled_adjoint_solve, dense_fp_solve, dense_hjb_solve
 
 ORACLE_TOL = 1e-10
@@ -36,6 +35,16 @@ def test_problem_rejects_bad_data():
         MFGProblem(grid=grid, eps=0.3, m0=-ones, uT=ones)
     with pytest.raises(ValueError):
         MFGProblem(grid=grid, eps=0.3, m0=ones, uT=np.ones(9))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["m0", "uT"])
+def test_problem_rejects_non_finite_data_by_name(name, bad):
+    grid = make_grid(1, 10, 4, 1.0)
+    fields = {"m0": np.ones(10), "uT": np.ones(10)}
+    fields[name][3] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        MFGProblem(grid=grid, eps=0.3, **fields)
 
 
 def test_fp_uniform_density_is_steady():
