@@ -123,11 +123,11 @@ def gradient_field(grid: Grid, u: np.ndarray) -> np.ndarray:
 
 def _split_slopes(grid: Grid, slopes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     slopes = np.asarray(slopes, dtype=float)
-    if slopes.shape != (grid.num_points, 2 * grid.dim):
+    if slopes.shape[-2:] != (grid.num_points, 2 * grid.dim):
         raise ValueError(
-            f"expected slopes of shape ({grid.num_points}, {2 * grid.dim}), got {slopes.shape}"
+            f"expected slopes of shape (..., {grid.num_points}, {2 * grid.dim}), got {slopes.shape}"
         )
-    return slopes[:, : grid.dim], slopes[:, grid.dim :]
+    return slopes[..., : grid.dim], slopes[..., grid.dim :]
 
 
 def eo_hamiltonian(grid: Grid, slopes: np.ndarray) -> np.ndarray:
@@ -136,12 +136,13 @@ def eo_hamiltonian(grid: Grid, slopes: np.ndarray) -> np.ndarray:
     H_hat = 1/2 * sum_k [ max(D^-_k, 0)^2 + min(D^+_k, 0)^2 ], evaluated
     on a slope representation.  For slopes of a field u this is the
     monotone numerical counterpart of |grad u|^2 / 2; the same quadratic
-    form doubles as the discrete running cost of a policy.
+    form doubles as the discrete running cost of a policy.  Leading axes
+    of ``slopes``, such as the time levels of a policy field, are kept.
     """
     back, fwd = _split_slopes(grid, slopes)
     return 0.5 * (
         np.maximum(back, 0.0) ** 2 + np.minimum(fwd, 0.0) ** 2
-    ).sum(axis=1)
+    ).sum(axis=-1)
 
 
 def integrate(grid: Grid, f: np.ndarray) -> float:

@@ -25,7 +25,15 @@ from .grid import (
     one_sided_gradients,
     policy_gap,
 )
-from .pde import ConvergenceError, MFGProblem, OperatorCache, require_finite, solve_fp, solve_hjb_linear
+from .pde import (
+    ConvergenceError,
+    MFGProblem,
+    OperatorCache,
+    hjb_sources,
+    require_finite,
+    solve_fp,
+    solve_hjb_linear,
+)
 
 INITIAL_VALUE = "u0"
 TERMINAL_RATE = "utT"
@@ -219,10 +227,9 @@ def mfg_residual(
     ops = OperatorCache(grid, prob.eps, q)
     res = 0.0
     fp_residual = ops.apply(m[1:], transpose=True) - m[:-1]
-    hjb_residual = ops.apply(u[:-1]) - u[1:]
+    hjb_residual = ops.apply(u[:-1]) - u[1:] - grid.dt * hjb_sources(prob, q, m, b)
     for n in range(grid.time_steps):
-        source = eo_hamiltonian(grid, q[n]) + b + prob.coupling(m[n])
-        res = max(res, l2_norm(grid, fp_residual[n]), l2_norm(grid, hjb_residual[n] - grid.dt * source))
+        res = max(res, l2_norm(grid, fp_residual[n]), l2_norm(grid, hjb_residual[n]))
     grad_u = gradient_field(grid, u)
     res = max(res, policy_gap(grid, q, grad_u))
     if data is not None:

@@ -6,7 +6,10 @@ matrix transposed, one LU factorization per time level serves the
 forward density sweep, the backward value sweep and the adjoint sweeps;
 :class:`OperatorCache` holds those factorizations for one fixed policy
 and is invalidated simply by building a new cache when the policy
-changes.
+changes.  Each factorization reuses the ordering that the step pattern
+fixes for its grid size, so no level pays for an ordering of its own.
+The sources of a sweep that do not depend on its own unknowns are
+evaluated for all levels at once, before the sweep.
 """
 
 from __future__ import annotations
@@ -18,11 +21,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import sparse
-from .grid import Grid, eo_hamiltonian, gradient_field, integrate, l2_norm, one_sided_gradients
+from .grid import Grid, eo_hamiltonian, gradient_field, integrate, l2_norm
 
-# Fill-reducing column ordering of every step factorization.  It halves
-# the fill of the 2d five-point stencil against COLAMD and is on par in 1d.
-PERMC_SPEC = "MMD_AT_PLUS_A"
+# Options of every level factorization.  The matrix is already in its
+# fill-reducing order (NATURAL keeps it, and makes scipy prefer diagonal
+# pivots); the smallest supernode relaxation and panel size factorize
+# these small five- and three-point matrices fastest, at unchanged fill.
+FACTOR_OPTIONS = {"permc_spec": "NATURAL", "relax": 1, "panel_size": 1}
 
 
 class ConvergenceError(RuntimeError):
@@ -94,12 +99,14 @@ class OperatorCache:
     """Factorized step matrices, one per time level, for a fixed policy.
 
     The values of every level are assembled when the cache is built;
-    each level is factorized on first use, with the multiple minimum
-    degree ordering of B + B^T.  A level whose values equal those of the
-    level before it bit for bit shares that level's LU.  ``hjb_solve``
-    applies B_n^{-1} and ``fp_solve`` applies (B_n^T)^{-1} through the
-    transposed triangular solves of the same LU; ``check`` verifies a
-    whole sweep of either kind at once.
+    each level is factorized on first use, as B_n[p][:, p] with the
+    ordering p of the step pattern.  A level whose values equal those of
+    the level before it bit for bit shares that level's LU.
+    ``hjb_solve`` applies B_n^{-1} and ``fp_solve`` applies
+    (B_n^T)^{-1} through the transposed triangular solves of the same
+    LU, permuting the right-hand side by p and the solution back.
+    ``values``, ``matrix``, ``apply`` and ``check`` keep the grid order;
+    ``check`` verifies a whole sweep of either kind at once.
     """
 
     def __init__(self, grid: Grid, eps: float, q: np.ndarray):
@@ -114,6 +121,12 @@ class OperatorCache:
         # the level whose LU each level uses: the first of its run of repeats
         self._lu_level = np.maximum.accumulate(np.where(repeat, 0, np.arange(len(repeat))))
         self._lus: list = [None] * len(repeat)
+        # one matrix in the ordered layout; each factorization sets its values
+        n = grid.num_points
+        self._ordered = sp.csc_matrix(
+            (np.zeros(self.pattern.indices.size), self.pattern.ordered_indices, self.pattern.indptr),
+            shape=(n, n),
+        )
 
     def matrix(self, level: int) -> sp.csc_matrix:
         """B_n of one level."""
@@ -126,18 +139,25 @@ class OperatorCache:
         level = self._lu_level[level]
         lu = self._lus[level]
         if lu is None:
+            self._ordered.data = self.values[level][self.pattern.gather]
             try:
-                lu = spla.splu(self.matrix(level), permc_spec=PERMC_SPEC)
+                lu = spla.splu(self._ordered, **FACTOR_OPTIONS)
             except RuntimeError as exc:  # singular factorization
                 raise sparse.LinearSolveError(f"level {level}: factorization failed: {exc}") from exc
             self._lus[level] = lu
         return lu
 
+    def _solve(self, level: int, rhs: np.ndarray, trans: str) -> np.ndarray:
+        order = self.pattern.order
+        x = np.empty(order.size)
+        x[order] = self._lu(level).solve(np.asarray(rhs, dtype=float)[order], trans=trans)
+        return x
+
     def hjb_solve(self, level: int, rhs: np.ndarray) -> np.ndarray:
-        return self._lu(level).solve(rhs)
+        return self._solve(level, rhs, "N")
 
     def fp_solve(self, level: int, rhs: np.ndarray) -> np.ndarray:
-        return self._lu(level).solve(rhs, trans="T")
+        return self._solve(level, rhs, "T")
 
     def apply(self, x: np.ndarray, transpose: bool = False, first_level: int = 0) -> np.ndarray:
         """B_n x[i], or B_n^T x[i], with n = first_level + i, for every row i of x at once."""
@@ -203,14 +223,20 @@ def solve_hjb_linear(
     grid = prob.grid
     u = np.empty((grid.time_steps + 1, grid.num_points))
     u[grid.time_steps] = prob.uT
-    b = np.asarray(b, dtype=float)
+    source = grid.dt * hjb_sources(prob, q, m, b)
     rhs = np.empty((grid.time_steps, grid.num_points))
     for n in range(grid.time_steps - 1, -1, -1):
-        source = eo_hamiltonian(grid, q[n]) + b + prob.coupling(m[n])
-        rhs[n] = u[n + 1] + grid.dt * source
+        rhs[n] = u[n + 1] + source[n]
         u[n] = ops.hjb_solve(n, rhs[n])
     ops.check(u[:-1], rhs)
     return u
+
+
+def hjb_sources(prob: MFGProblem, q: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L_h(q^n) + b + F(m^n), the source of the HJB step of every level
+    n < time_steps, as one ``(time_steps, num_points)`` array."""
+    levels = prob.grid.time_steps
+    return eo_hamiltonian(prob.grid, q[:levels]) + np.asarray(b, dtype=float) + prob.coupling(m[:levels])
 
 
 def solve_adjoint_w(
@@ -232,23 +258,24 @@ def solve_adjoint_w(
     return w
 
 
-def _upwind_div_m_grad(grid: Grid, q_slice, m_slice, v_slice) -> np.ndarray:
-    """div(m grad v) with the upwind splitting of the transport.
+def _upwind_div_m_grad(grid: Grid, q: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """div(m grad v) with the upwind splitting of the transport, for
+    every level of the space-time fields q, m and v at once.
 
     The masks follow the active branches of the Engquist-Osher flux at
     the policy q, so this is the exact transpose of the policy
     sensitivity of the advection, applied to m.
     """
-    back = q_slice[:, : grid.dim]
-    fwd = q_slice[:, grid.dim :]
-    v_slopes = one_sided_gradients(grid, v_slice)
-    out = np.zeros(grid.shape)
+    shape = (len(v),) + grid.shape
+    v_slopes = gradient_field(grid, v)
+    out = np.zeros(shape)
     for axis in range(grid.dim):
-        a = ((back[:, axis] > 0) * m_slice * v_slopes[:, axis]).reshape(grid.shape)
-        c = ((fwd[:, axis] < 0) * m_slice * v_slopes[:, grid.dim + axis]).reshape(grid.shape)
-        out += (np.roll(a, -1, axis=axis) - a) / grid.dx
-        out += (c - np.roll(c, 1, axis=axis)) / grid.dx
-    return out.ravel()
+        fwd = grid.dim + axis  # the D^+ component of this axis; D^- is component `axis`
+        a = ((q[..., axis] > 0) * m * v_slopes[..., axis]).reshape(shape)
+        c = ((q[..., fwd] < 0) * m * v_slopes[..., fwd]).reshape(shape)
+        out += (np.roll(a, -1, axis=axis + 1) - a) / grid.dx
+        out += (c - np.roll(c, 1, axis=axis + 1)) / grid.dx
+    return out.reshape(len(v), -1)
 
 
 def solve_coupled_adjoint(
@@ -282,7 +309,7 @@ def solve_coupled_adjoint(
     v = np.zeros((n_steps + 1, grid.num_points))
     w_init = np.asarray(w_init, dtype=float)
     v_term = np.asarray(v_term, dtype=float)
-    fprime = np.array([prob.coupling_derivative(m[n]) for n in range(n_steps + 1)])
+    fprime = prob.coupling_derivative(m)
 
     # row n of each holds the right-hand side of the level-n solve
     w_rhs = np.empty((n_steps, grid.num_points))
@@ -290,17 +317,19 @@ def solve_coupled_adjoint(
     v_rhs[n_steps - 1] = v_term
     last_change = np.inf
     for _ in range(max_iter):
+        # the sources of each half-sweep depend only on the other field
+        w_source = grid.dt * _upwind_div_m_grad(grid, q[:-1], m[1:], v[1:])
         w_new = np.empty_like(w)
         w_new[0] = w_init
         for n in range(n_steps):
-            source = _upwind_div_m_grad(grid, q[n], m[n + 1], v[n + 1])
-            w_rhs[n] = w_new[n] + grid.dt * source
+            w_rhs[n] = w_new[n] + w_source[n]
             w_new[n + 1] = ops.fp_solve(n, w_rhs[n])
         ops.check(w_new[1:], w_rhs, transpose=True)
+        v_source = grid.dt * fprime[1:-1] * w_new[2:]  # row n - 1 feeds the level n - 1 step
         v_new = np.empty_like(v)
         v_new[n_steps] = ops.hjb_solve(n_steps - 1, v_term)
         for n in range(n_steps - 1, 0, -1):
-            v_rhs[n - 1] = v_new[n + 1] + grid.dt * fprime[n] * w_new[n + 1]
+            v_rhs[n - 1] = v_new[n + 1] + v_source[n - 1]
             v_new[n] = ops.hjb_solve(n - 1, v_rhs[n - 1])
         ops.check(v_new[1:], v_rhs)
         v_new[0] = v_new[1]

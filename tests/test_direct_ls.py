@@ -45,7 +45,19 @@ def test_constant_shift_costs_half_c_squared(tiny_problem, kind):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_gradient_matches_finite_differences(tiny_problem, rng, kind):
-    prob, b_true = tiny_problem
+    check_gradient(*tiny_problem, rng, kind)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_gradient_matches_finite_differences_in_2d(rng, kind):
+    prob = small_problem(dim=2, points=5, steps=6)
+    x, y = prob.grid.coordinates().T
+    check_gradient(prob, 0.3 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y) + 0.1, rng, kind)
+
+
+def check_gradient(prob, b_true, rng, kind):
+    """Central differences of the objective along ten random directions
+    match the adjoint gradient."""
     grid = prob.grid
     data = make_data(prob, b_true, kind)
     b0 = b_true + 0.1 * rng.uniform(-1.0, 1.0, grid.num_points)

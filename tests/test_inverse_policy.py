@@ -123,7 +123,20 @@ def test_step2_regularizer_ignores_constant_obstacles(quadratic_setup, rng):
 
 @pytest.mark.parametrize("extra_levels", [(), (3, 7)])
 def test_step2_gradient_matches_finite_differences(quadratic_setup, rng, extra_levels):
-    prob, q, m = quadratic_setup
+    check_step2_gradient(*quadratic_setup, rng, extra_levels)
+
+
+@pytest.mark.parametrize("extra_levels", [(), (2, 4)])
+def test_step2_gradient_matches_finite_differences_in_2d(rng, extra_levels):
+    prob = small_problem(dim=2, points=5, steps=6)
+    grid = prob.grid
+    q = rng.uniform(-0.5, 0.5, (grid.time_steps + 1, grid.num_points, 2 * grid.dim))
+    check_step2_gradient(prob, q, solve_fp(prob, q), rng, extra_levels)
+
+
+def check_step2_gradient(prob, q, m, rng, extra_levels):
+    """Central differences of the step (ii) objective along ten random
+    directions match its adjoint gradient."""
     grid = prob.grid
     g = rng.uniform(-1.0, 1.0, grid.num_points)
     extra = tuple((lvl, rng.uniform(-1.0, 1.0, grid.num_points)) for lvl in extra_levels)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from mfg_inverse import MFGProblem, make_grid, policy_iteration_forward
-from mfg_inverse.grid import eo_hamiltonian, gradient_field, integrate, l2_norm
+from mfg_inverse.grid import eo_hamiltonian, gradient_field, integrate, l2_norm, one_sided_gradients
 from mfg_inverse.pde import (
     ConvergenceError,
+    _upwind_div_m_grad,
+    hjb_sources,
     solve_adjoint_w,
     solve_coupled_adjoint,
     solve_fp,
@@ -109,6 +111,43 @@ def test_hjb_matches_dense_space_time_oracle(rng):
     sources = [eo_hamiltonian(grid, q[n]) + b + prob.coupling(m[n]) for n in range(10)]
     dense = dense_hjb_solve(grid, q, prob.eps, sources, prob.uT)
     assert np.max(np.abs(u - dense)) <= ORACLE_TOL
+
+
+def upwind_div_m_grad_of_one_level(grid, q, m, v):
+    """div(m grad v) of one level, written per level: the reference of the batched form."""
+    v_slopes = one_sided_gradients(grid, v)
+    out = np.zeros(grid.shape)
+    for axis in range(grid.dim):
+        a = ((q[:, axis] > 0) * m * v_slopes[:, axis]).reshape(grid.shape)
+        c = ((q[:, grid.dim + axis] < 0) * m * v_slopes[:, grid.dim + axis]).reshape(grid.shape)
+        out += (np.roll(a, -1, axis=axis) - a) / grid.dx
+        out += (c - np.roll(c, 1, axis=axis)) / grid.dx
+    return out.ravel()
+
+
+@pytest.mark.parametrize("coupled", [True, False])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_batched_sources_equal_the_per_level_formula(dim, coupled, rng):
+    # the sweeps evaluate their sources for all levels at once; the
+    # arithmetic per entry is unchanged, so the results agree bit for bit
+    prob = small_problem(dim=dim, points=7, steps=9)
+    if not coupled:
+        prob = without_coupling(prob)
+    grid = prob.grid
+    q = random_policy(grid, rng, scale=2.0)
+    q[rng.uniform(size=q.shape) < 0.3] = 0.0
+    m = rng.uniform(0.0, 2.0, (10, grid.num_points))
+    v = rng.standard_normal((10, grid.num_points))
+    b = rng.standard_normal(grid.num_points)
+    sources = hjb_sources(prob, q, m, b)
+    transport = _upwind_div_m_grad(grid, q[:-1], m[1:], v[1:])
+    fprime = prob.coupling_derivative(m)
+    assert sources.shape == transport.shape == (9, grid.num_points)
+    for n in range(9):
+        assert np.array_equal(sources[n], eo_hamiltonian(grid, q[n]) + b + prob.coupling(m[n]))
+        assert np.array_equal(transport[n], upwind_div_m_grad_of_one_level(grid, q[n], m[n + 1], v[n + 1]))
+    for n in range(10):
+        assert np.array_equal(fprime[n], prob.coupling_derivative(m[n]))
 
 
 def test_hjb_is_monotone_in_the_obstacle(rng):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mfg_inverse import make_grid
 from mfg_inverse import pde
 from mfg_inverse.pde import OperatorCache
-from mfg_inverse.sparse import LinearSolveError, _step_matrix, step_pattern
+from mfg_inverse.sparse import PERMC_SPEC, LinearSolveError, _step_matrix, step_pattern
 
 from dense_reference import dense_fp_step, dense_hjb_step
 
@@ -118,11 +119,44 @@ def test_batched_assembly_matches_dense_reference(dim, points, steps, eps, scale
     values = _step_matrix(grid, q, eps)
     pattern = step_pattern(dim, points)
     assert values.shape == (steps, pattern.indices.size)
+    assert np.array_equal(np.sort(pattern.order), np.arange(grid.num_points))
     ops = OperatorCache(grid, eps, q)
     for n in range(steps):
         dense = dense_hjb_step(grid, q[n], eps)
         atol = 1e-14 * max(1.0, np.abs(dense).max())
         np.testing.assert_allclose(ops.matrix(n).toarray(), dense, rtol=0, atol=atol)
+        # the factorized layout is B_n with rows and columns in the pattern's order
+        ordered = sp.csc_matrix(
+            (values[n][pattern.gather], pattern.ordered_indices, pattern.indptr), shape=dense.shape
+        )
+        p = pattern.order
+        assert np.array_equal(ordered.toarray(), ops.matrix(n).toarray()[p][:, p])
+        # and solving through it solves B_n and B_n^T in the grid order
+        rhs = rng.standard_normal(grid.num_points)
+        for solve, matrix in ((ops.hjb_solve, dense), (ops.fp_solve, dense.T)):
+            x = solve(n, rhs)
+            assert np.linalg.norm(matrix @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+@pytest.mark.parametrize("dim, points, fill", [(1, 50, 294), (2, 30, 27524)])
+def test_pattern_ordering_keeps_the_per_call_fill(monkeypatch, rng, dim, points, fill):
+    # the ordering computed once per grid size gives each level the fill
+    # that ordering the level's own matrix would give
+    lus = []
+    splu = pde.spla.splu
+
+    def keeping_splu(*args, **kwargs):
+        lus.append(splu(*args, **kwargs))
+        return lus[-1]
+
+    monkeypatch.setattr(pde.spla, "splu", keeping_splu)
+    grid = make_grid(dim, points, 3, 1.0)
+    ops = OperatorCache(grid, 0.3, rng.uniform(-2.0, 2.0, (4, grid.num_points, 2 * dim)))
+    for n in range(grid.time_steps):
+        ops.hjb_solve(n, np.ones(grid.num_points))
+        per_call = splu(ops.matrix(n), permc_spec=PERMC_SPEC)
+        assert lus[n].L.nnz + lus[n].U.nnz == per_call.L.nnz + per_call.U.nnz == fill
+    assert len(lus) == grid.time_steps
 
 
 def test_solve_identity():
