@@ -340,8 +340,8 @@ def run_gradcheck(config: ExperimentConfig, directions: int = 10, h: float = 1e-
     grid = prob.grid
     # a generic but physically plausible linearization point
     warm = policy_iteration_forward(prob, b_true, tol=1e-3, max_iter=50)
-    q = warm.q
-    m = solve_fp(prob, q)
+    ops = OperatorCache(grid, prob.eps, warm.q)
+    m = solve_fp(prob, ops)
     b_point = b_true + 0.2 * rng.standard_normal(grid.num_points)
     gamma = config.gamma if config.gamma is not None else (0.0 if config.noise_level == 0 else 1e-6)
 
@@ -357,10 +357,9 @@ def run_gradcheck(config: ExperimentConfig, directions: int = 10, h: float = 1e-
 
     report = {}
     if config.data_kind == "u0":
-        ops = OperatorCache(grid, prob.eps, q)
-        _, grad = step2_gradient_u0(prob, q, m, b_point, data, gamma, ops)
+        _, grad = step2_gradient_u0(prob, ops, m, b_point, data, gamma)
         report["step2_u0"] = fd_check(
-            lambda b: step2_gradient_u0(prob, q, m, b, data, gamma, ops)[0], grad, 1e-4
+            lambda b: step2_gradient_u0(prob, ops, m, b, data, gamma)[0], grad, 1e-4
         )
 
     fwd_tol = min(config.data_tol, 1e-11)

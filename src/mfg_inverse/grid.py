@@ -91,33 +91,24 @@ def laplacian_apply(grid: Grid, f: np.ndarray) -> np.ndarray:
     return (out / grid.dx**2).ravel()
 
 
-def one_sided_gradients(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Backward and forward difference quotients of a spatial field.
+def gradient_field(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """Backward and forward difference quotients of a field.
 
-    Returns an array of shape (num_points, 2*dim); see the module
-    docstring for the component layout.
+    Returns an array of shape (..., num_points, 2*dim); see the module
+    docstring for the component layout.  Leading axes of ``f``, such as
+    the time levels of a space-time field, are kept.
     """
-    mesh = _mesh(grid, f)
-    slopes = np.empty((grid.num_points, 2 * grid.dim))
+    f = np.asarray(f, dtype=float)
+    if f.shape[-1:] != (grid.num_points,):
+        raise ValueError(f"expected field of shape (..., {grid.num_points}), got {f.shape}")
+    lead = f.shape[:-1]
+    mesh = f.reshape(lead + grid.shape)
+    slopes = np.empty(lead + (grid.num_points, 2 * grid.dim))
     for axis in range(grid.dim):
-        back = (mesh - np.roll(mesh, 1, axis=axis)) / grid.dx
-        fwd = (np.roll(mesh, -1, axis=axis) - mesh) / grid.dx
-        slopes[:, axis] = back.ravel()
-        slopes[:, grid.dim + axis] = fwd.ravel()
-    return slopes
-
-
-def gradient_field(grid: Grid, u: np.ndarray) -> np.ndarray:
-    """one_sided_gradients applied to every time level of a space-time field."""
-    u = np.asarray(u, dtype=float)
-    levels = u.shape[0]
-    mesh = u.reshape((levels,) + grid.shape)
-    slopes = np.empty((levels, grid.num_points, 2 * grid.dim))
-    for axis in range(grid.dim):
-        back = (mesh - np.roll(mesh, 1, axis=axis + 1)) / grid.dx
-        fwd = (np.roll(mesh, -1, axis=axis + 1) - mesh) / grid.dx
-        slopes[:, :, axis] = back.reshape(levels, -1)
-        slopes[:, :, grid.dim + axis] = fwd.reshape(levels, -1)
+        back = (mesh - np.roll(mesh, 1, axis=len(lead) + axis)) / grid.dx
+        fwd = (np.roll(mesh, -1, axis=len(lead) + axis) - mesh) / grid.dx
+        slopes[..., axis] = back.reshape(lead + (-1,))
+        slopes[..., grid.dim + axis] = fwd.reshape(lead + (-1,))
     return slopes
 
 
@@ -159,13 +150,14 @@ def l2_norm(grid: Grid, f: np.ndarray) -> float:
     return float(np.sqrt(np.sum(f * f) * grid.cell_volume))
 
 
-def policy_gap(grid: Grid, q_new: np.ndarray, q_old: np.ndarray) -> float:
-    """max over time levels of the spatial L2 norm of the policy update.
+def policy_gap(grid: Grid, new: np.ndarray, old: np.ndarray) -> float:
+    """max over time levels (axis 0) of the spatial L2 norm of new - old.
 
-    The norm runs over all 2*dim slope components with rectangular
-    quadrature weights; this is the stopping metric of both policy
-    iterations.
+    The norm uses rectangular quadrature weights and runs over every
+    trailing axis, such as the 2*dim slope components of a policy field.
+    This is the stopping metric of both policy iterations and of the
+    coupled adjoint.
     """
-    diff = np.asarray(q_new) - np.asarray(q_old)
-    per_level = np.sqrt(np.sum(diff * diff, axis=(1, 2)) * grid.cell_volume)
+    diff = np.asarray(new) - np.asarray(old)
+    per_level = np.sqrt(np.sum(diff * diff, axis=tuple(range(1, diff.ndim))) * grid.cell_volume)
     return float(per_level.max())

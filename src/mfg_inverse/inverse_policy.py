@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optim
-from .grid import gradient_field, l2_norm, laplacian_apply, one_sided_gradients, policy_gap
+from .grid import gradient_field, l2_norm, laplacian_apply, policy_gap
 from .mfg_forward import PDE_RHS, TERMINAL_RATE, InverseData, measure, zero_policy
 from .pde import ConvergenceError, MFGProblem, OperatorCache, require_finite, solve_adjoint_w, solve_fp, solve_hjb_linear
 
@@ -92,21 +92,21 @@ def _regularizer(prob: MFGProblem, b: np.ndarray, gamma: float) -> tuple[float, 
     if gamma == 0.0:
         return 0.0, np.zeros_like(b)
     grid = prob.grid
-    fwd = one_sided_gradients(grid, b)[:, grid.dim :]
+    fwd = gradient_field(grid, b)[:, grid.dim :]
     value = 0.5 * gamma * float(np.sum(fwd * fwd)) * grid.cell_volume
     return value, -gamma * laplacian_apply(grid, b)
 
 
 def step2_gradient_u0(
     prob: MFGProblem,
-    q: np.ndarray,
+    ops: OperatorCache,
     m: np.ndarray,
     b: np.ndarray,
     data: InverseData,
     gamma: float,
-    ops: OperatorCache | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Objective and L2 gradient of the step (ii) least-squares problem.
+    """Objective and L2 gradient of the step (ii) least-squares problem
+    for the policy of ``ops``.
 
     Each observation of ``data``, the initial value and any further
     observation times, contributes the adjoint sweep of its residual,
@@ -114,43 +114,38 @@ def step2_gradient_u0(
     rule.
     """
     grid = prob.grid
-    if ops is None:
-        ops = OperatorCache(grid, prob.eps, q)
-    u = solve_hjb_linear(prob, q, m, b, ops)
+    u = solve_hjb_linear(prob, ops, m, b)
     value, gradient = _regularizer(prob, b, gamma)
     for level, g_obs in [(0, data.g), *data.extra]:
         residual = u[level] - g_obs
         value += 0.5 * l2_norm(grid, residual) ** 2
-        w = solve_adjoint_w(prob, q, residual, ops, start_level=level)
+        w = solve_adjoint_w(ops, residual, start_level=level)
         gradient = gradient + grid.dt * w[level + 1 :].sum(axis=0)
     return value, gradient
 
 
 def invert_step_u0(
     prob: MFGProblem,
-    q: np.ndarray,
+    ops: OperatorCache,
     m: np.ndarray,
     data: InverseData,
     gamma: float,
     b_init: np.ndarray,
     opt_tol: float = 1e-10,
     max_opt_iter: int = 500,
-    ops: OperatorCache | None = None,
     curvature: object | None = None,
 ) -> tuple[np.ndarray, optim.OptimReport]:
-    """Solve step (ii) for initial-value data with a warm-started BFGS.
+    """Solve step (ii) for initial-value data and the policy of ``ops``
+    with a warm-started BFGS.
 
     The quadratic's Hessian barely changes between outer iterations, so
     the caller may feed back ``report.curvature`` to warm-start the
     quasi-Newton metric along with the iterate.
     """
-    grid = prob.grid
-    if ops is None:
-        ops = OperatorCache(grid, prob.eps, q)
-    scale = grid.cell_volume  # Euclidean gradient of the quadrature-weighted objective
+    scale = prob.grid.cell_volume  # Euclidean gradient of the quadrature-weighted objective
 
     def fun_and_grad(bvec):
-        value, gradient = step2_gradient_u0(prob, q, m, bvec, data, gamma, ops)
+        value, gradient = step2_gradient_u0(prob, ops, m, bvec, data, gamma)
         return value, gradient * scale
 
     report = optim.minimize(
@@ -210,7 +205,7 @@ def policy_iteration_inverse(
     curvature = None
     for k in range(1, max_iter + 1):
         ops = OperatorCache(grid, prob.eps, q)
-        m = solve_fp(prob, q, ops)
+        m = solve_fp(prob, ops)
         require_finite("m", m, k, gaps)
         if data.kind == TERMINAL_RATE:
             b = closed_form_b(prob, m, data.g)
@@ -219,13 +214,12 @@ def policy_iteration_inverse(
             if opt_tol_schedule == "tightening":
                 step_tol = max(opt_tol, 1e-6 * 0.5 ** (k - 1))
             b, report = invert_step_u0(
-                prob, q, m, data, gamma, b, step_tol, max_opt_iter, ops,
-                curvature=curvature,
+                prob, ops, m, data, gamma, b, step_tol, max_opt_iter, curvature=curvature
             )
             curvature = report.curvature
             opt_iters.append(report.iterations)
         require_finite("b", b, k, gaps)
-        u = solve_hjb_linear(prob, q, m, b, ops)
+        u = solve_hjb_linear(prob, ops, m, b)
         q_new = gradient_field(grid, u)
         gap = policy_gap(grid, q_new, q)
         gaps.append(gap)

@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (
-    eo_hamiltonian,
-    gradient_field,
-    l2_norm,
-    laplacian_apply,
-    one_sided_gradients,
-    policy_gap,
-)
+from .grid import eo_hamiltonian, gradient_field, l2_norm, laplacian_apply, policy_gap
 from .pde import (
     ConvergenceError,
     MFGProblem,
@@ -108,9 +101,9 @@ def policy_iteration_forward(
     gaps: list[float] = []
     for k in range(1, max_iter + 1):
         ops = OperatorCache(prob.grid, prob.eps, q)
-        m = solve_fp(prob, q, ops)
+        m = solve_fp(prob, ops)
         require_finite("m", m, k, gaps)
-        u = solve_hjb_linear(prob, q, m, b, ops)
+        u = solve_hjb_linear(prob, ops, m, b)
         q_new = gradient_field(prob.grid, u)
         gap = policy_gap(prob.grid, q_new, q)
         gaps.append(gap)
@@ -147,7 +140,7 @@ def measure(
         # -eps Lap u_T + H_hat(grad u_T) - b - F(m(T))
         return (
             -prob.eps * laplacian_apply(grid, prob.uT)
-            + eo_hamiltonian(grid, one_sided_gradients(grid, prob.uT))
+            + eo_hamiltonian(grid, gradient_field(grid, prob.uT))
             - np.asarray(b, dtype=float)
             - prob.coupling(m[grid.time_steps])
         )
@@ -225,13 +218,11 @@ def mfg_residual(
     """
     grid = prob.grid
     ops = OperatorCache(grid, prob.eps, q)
-    res = 0.0
-    fp_residual = ops.apply(m[1:], transpose=True) - m[:-1]
-    hjb_residual = ops.apply(u[:-1]) - u[1:] - grid.dt * hjb_sources(prob, q, m, b)
-    for n in range(grid.time_steps):
-        res = max(res, l2_norm(grid, fp_residual[n]), l2_norm(grid, hjb_residual[n]))
-    grad_u = gradient_field(grid, u)
-    res = max(res, policy_gap(grid, q, grad_u))
+    res = max(
+        policy_gap(grid, ops.apply(m[1:], transpose=True), m[:-1]),
+        policy_gap(grid, ops.apply(u[:-1]) - u[1:], grid.dt * hjb_sources(prob, q, m, b)),
+        policy_gap(grid, q, gradient_field(grid, u)),
+    )
     if data is not None:
         predicted = measure(prob, u, m, b, data.kind, data.terminal_rate_mode)
         res = max(res, l2_norm(grid, predicted - data.g))

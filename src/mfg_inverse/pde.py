@@ -1,15 +1,18 @@
 """Problem container and the linear PDE sweeps.
 
-All four solvers share the same per-level step matrices (see
-:mod:`mfg_inverse.sparse`).  Since the FP matrix is exactly the HJB
-matrix transposed, one LU factorization per time level serves the
-forward density sweep, the backward value sweep and the adjoint sweeps;
-:class:`OperatorCache` holds those factorizations for one fixed policy
-and is invalidated simply by building a new cache when the policy
-changes.  Each factorization reuses the ordering that the step pattern
-fixes for its grid size, so no level pays for an ordering of its own.
-The sources of a sweep that do not depend on its own unknowns are
-evaluated for all levels at once, before the sweep.
+Every linear solve of the package is one of two sweeps over the same
+per-level step matrices (see :mod:`mfg_inverse.sparse`): a forward
+sweep with the FP-type operator, which serves the density and the light
+adjoint w, and a backward sweep with the HJB-type operator, which serves
+the value function and the adjoint v.  Since the FP matrix is exactly
+the HJB matrix transposed, one LU factorization per time level serves
+both.  :class:`OperatorCache` holds those factorizations for one fixed
+policy, carries that policy as ``q``, and owns the only level loop of
+each direction; a new policy means a new cache.  Each factorization
+reuses the ordering that the step pattern fixes for its grid size, so no
+level pays for an ordering of its own.  The sources of a sweep do not
+depend on its own unknowns and are evaluated for all levels at once,
+before the sweep.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import sparse
-from .grid import Grid, eo_hamiltonian, gradient_field, integrate, l2_norm
+from .grid import Grid, eo_hamiltonian, gradient_field, integrate, policy_gap
 
 # Options of every level factorization.  The matrix is already in its
 # fill-reducing order (NATURAL keeps it, and makes scipy prefer diagonal
@@ -96,7 +99,8 @@ class MFGProblem:
 
 
 class OperatorCache:
-    """Factorized step matrices, one per time level, for a fixed policy.
+    """Factorized step matrices, one per time level, for one fixed policy,
+    which the cache keeps as ``q``.
 
     The values of every level are assembled when the cache is built;
     each level is factorized on first use, as B_n[p][:, p] with the
@@ -107,6 +111,9 @@ class OperatorCache:
     LU, permuting the right-hand side by p and the solution back.
     ``values``, ``matrix``, ``apply`` and ``check`` keep the grid order;
     ``check`` verifies a whole sweep of either kind at once.
+    ``sweep_forward`` and ``sweep_backward`` are the level loops of the
+    package: each solves one level at a time through ``fp_solve`` or
+    ``hjb_solve`` and checks the whole sweep with ``check``.
     """
 
     def __init__(self, grid: Grid, eps: float, q: np.ndarray):
@@ -115,6 +122,7 @@ class OperatorCache:
         if q.shape != expected:
             raise ValueError(f"expected policy field of shape {expected}, got {q.shape}")
         self.grid = grid
+        self.q = q
         self.pattern = sparse.step_pattern(grid.dim, grid.points_per_dim)
         self.values = sparse._step_matrix(grid, q, eps)
         repeat = np.r_[False, np.all(self.values[1:] == self.values[:-1], axis=1)]
@@ -182,54 +190,54 @@ class OperatorCache:
                 f" {sparse.RESIDUAL_TOL:.0e} times the right-hand side norm {scale[i]:.3e}"
             )
 
+    def sweep_forward(self, x0: np.ndarray, sources: np.ndarray | None = None, start: int = 0) -> np.ndarray:
+        """Solve B_n^T x[n+1] = x[n] + sources[n] for n = start, ..., time_steps - 1.
 
-def _cache(prob: MFGProblem, q: np.ndarray, ops: OperatorCache | None) -> OperatorCache:
-    if ops is not None:
-        return ops
-    return OperatorCache(prob.grid, prob.eps, q)
+        x[start] = x0 and the rows before ``start`` are zero; ``sources``
+        has one row per level, and None means no source.
+        """
+        grid = self.grid
+        x = np.zeros((grid.time_steps + 1, grid.num_points))
+        x[start] = x0
+        rhs = np.empty((grid.time_steps - start, grid.num_points))
+        for n in range(start, grid.time_steps):
+            rhs[n - start] = x[n] if sources is None else x[n] + sources[n]
+            x[n + 1] = self.fp_solve(n, rhs[n - start])
+        self.check(x[start + 1 :], rhs, transpose=True, first_level=start)
+        return x
+
+    def sweep_backward(self, x_end: np.ndarray, sources: np.ndarray) -> np.ndarray:
+        """Solve B_n x[n] = x[n+1] + sources[n] for n = time_steps - 1, ..., 0,
+        down from x[time_steps] = x_end."""
+        grid = self.grid
+        x = np.empty((grid.time_steps + 1, grid.num_points))
+        x[grid.time_steps] = x_end
+        rhs = np.empty((grid.time_steps, grid.num_points))
+        for n in range(grid.time_steps - 1, -1, -1):
+            rhs[n] = x[n + 1] + sources[n]
+            x[n] = self.hjb_solve(n, rhs[n])
+        self.check(x[:-1], rhs)
+        return x
 
 
-def solve_fp(prob: MFGProblem, q: np.ndarray, ops: OperatorCache | None = None) -> np.ndarray:
-    """Forward Fokker-Planck sweep for a fixed policy.
+def solve_fp(prob: MFGProblem, ops: OperatorCache) -> np.ndarray:
+    """Forward Fokker-Planck sweep for the policy of ``ops``.
 
     Step n -> n+1 solves A[q^n] m^{n+1} = m^n; mass is conserved exactly
     because the column sums of A are 1.
     """
-    ops = _cache(prob, q, ops)
-    grid = prob.grid
-    m = np.empty((grid.time_steps + 1, grid.num_points))
-    m[0] = prob.m0
-    for n in range(grid.time_steps):
-        m[n + 1] = ops.fp_solve(n, m[n])
-    ops.check(m[1:], m[:-1], transpose=True)
-    return m
+    return ops.sweep_forward(prob.m0)
 
 
-def solve_hjb_linear(
-    prob: MFGProblem,
-    q: np.ndarray,
-    m: np.ndarray,
-    b: np.ndarray,
-    ops: OperatorCache | None = None,
-) -> np.ndarray:
-    """Backward linear HJB sweep for a fixed policy and density.
+def solve_hjb_linear(prob: MFGProblem, ops: OperatorCache, m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Backward linear HJB sweep for the policy of ``ops`` and a density.
 
     Step n+1 -> n solves B[q^n] u^n = u^{n+1} + dt (L_h(q^n) + b + F(m^n))
     where L_h is the upwind quadratic form of the policy slopes, so that
     at the fixed point q = grad u the discrete identity
     q . grad u - L(q) = H_hat(grad u) holds exactly.
     """
-    ops = _cache(prob, q, ops)
-    grid = prob.grid
-    u = np.empty((grid.time_steps + 1, grid.num_points))
-    u[grid.time_steps] = prob.uT
-    source = grid.dt * hjb_sources(prob, q, m, b)
-    rhs = np.empty((grid.time_steps, grid.num_points))
-    for n in range(grid.time_steps - 1, -1, -1):
-        rhs[n] = u[n + 1] + source[n]
-        u[n] = ops.hjb_solve(n, rhs[n])
-    ops.check(u[:-1], rhs)
-    return u
+    return ops.sweep_backward(prob.uT, prob.grid.dt * hjb_sources(prob, ops.q, m, b))
 
 
 def hjb_sources(prob: MFGProblem, q: np.ndarray, m: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -239,23 +247,10 @@ def hjb_sources(prob: MFGProblem, q: np.ndarray, m: np.ndarray, b: np.ndarray) -
     return eo_hamiltonian(prob.grid, q[:levels]) + np.asarray(b, dtype=float) + prob.coupling(m[:levels])
 
 
-def solve_adjoint_w(
-    prob: MFGProblem,
-    q: np.ndarray,
-    w0: np.ndarray,
-    ops: OperatorCache | None = None,
-    start_level: int = 0,
-) -> np.ndarray:
+def solve_adjoint_w(ops: OperatorCache, w0: np.ndarray, start_level: int = 0) -> np.ndarray:
     """Forward sweep of the light adjoint: same operator as solve_fp,
     initial value w0 injected at ``start_level``, zero before it."""
-    ops = _cache(prob, q, ops)
-    grid = prob.grid
-    w = np.zeros((grid.time_steps + 1, grid.num_points))
-    w[start_level] = np.asarray(w0, dtype=float)
-    for n in range(start_level, grid.time_steps):
-        w[n + 1] = ops.fp_solve(n, w[n])
-    ops.check(w[start_level + 1 :], w[start_level:-1], transpose=True, first_level=start_level)
-    return w
+    return ops.sweep_forward(w0, start=start_level)
 
 
 def _upwind_div_m_grad(grid: Grid, q: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -302,41 +297,23 @@ def solve_coupled_adjoint(
     the last v step.
     """
     grid = prob.grid
-    n_steps = grid.time_steps
-    q = gradient_field(grid, u)
-    ops = OperatorCache(grid, prob.eps, q)
-    w = np.zeros((n_steps + 1, grid.num_points))
-    v = np.zeros((n_steps + 1, grid.num_points))
-    w_init = np.asarray(w_init, dtype=float)
-    v_term = np.asarray(v_term, dtype=float)
+    ops = OperatorCache(grid, prob.eps, gradient_field(grid, u))
+    w = np.zeros((grid.time_steps + 1, grid.num_points))
+    v = np.zeros((grid.time_steps + 1, grid.num_points))
     fprime = prob.coupling_derivative(m)
 
-    # row n of each holds the right-hand side of the level-n solve
-    w_rhs = np.empty((n_steps, grid.num_points))
-    v_rhs = np.empty((n_steps, grid.num_points))
-    v_rhs[n_steps - 1] = v_term
+    # row n of v_source feeds the level-n step, whose solution is v at
+    # level n + 1; the last step's right-hand side is the terminal datum
+    v_source = np.zeros((grid.time_steps, grid.num_points))
     last_change = np.inf
     for _ in range(max_iter):
         # the sources of each half-sweep depend only on the other field
-        w_source = grid.dt * _upwind_div_m_grad(grid, q[:-1], m[1:], v[1:])
-        w_new = np.empty_like(w)
-        w_new[0] = w_init
-        for n in range(n_steps):
-            w_rhs[n] = w_new[n] + w_source[n]
-            w_new[n + 1] = ops.fp_solve(n, w_rhs[n])
-        ops.check(w_new[1:], w_rhs, transpose=True)
-        v_source = grid.dt * fprime[1:-1] * w_new[2:]  # row n - 1 feeds the level n - 1 step
-        v_new = np.empty_like(v)
-        v_new[n_steps] = ops.hjb_solve(n_steps - 1, v_term)
-        for n in range(n_steps - 1, 0, -1):
-            v_rhs[n - 1] = v_new[n + 1] + v_source[n - 1]
-            v_new[n] = ops.hjb_solve(n - 1, v_rhs[n - 1])
-        ops.check(v_new[1:], v_rhs)
-        v_new[0] = v_new[1]
-        last_change = max(
-            max(l2_norm(grid, w_new[n] - w[n]) for n in range(n_steps + 1)),
-            max(l2_norm(grid, v_new[n] - v[n]) for n in range(n_steps + 1)),
-        )
+        w_source = grid.dt * _upwind_div_m_grad(grid, ops.q[:-1], m[1:], v[1:])
+        w_new = ops.sweep_forward(w_init, w_source)
+        v_source[:-1] = grid.dt * fprime[1:-1] * w_new[2:]
+        shifted = ops.sweep_backward(v_term, v_source)
+        v_new = np.concatenate((shifted[:1], shifted[:-1]))  # v^0 = v^1
+        last_change = max(policy_gap(grid, w_new, w), policy_gap(grid, v_new, v))
         w, v = w_new, v_new
         if last_change < tol:
             return w, v

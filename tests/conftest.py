@@ -3,6 +3,7 @@ import pytest
 
 from mfg_inverse import MFGProblem, make_grid
 from mfg_inverse.grid import integrate
+from mfg_inverse.pde import OperatorCache
 
 
 def bump_density(grid, width=40.0):
@@ -35,6 +36,11 @@ def without_coupling(prob):
 def random_policy(grid, rng, scale=1.0):
     """Bounded random policy field over all time levels."""
     return scale * rng.uniform(-1.0, 1.0, size=(grid.time_steps + 1, grid.num_points, 2 * grid.dim))
+
+
+def cache(prob, q):
+    """The operator cache of a policy on a problem's grid and diffusion."""
+    return OperatorCache(prob.grid, prob.eps, q)
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from mfg_inverse.mfg_forward import INITIAL_VALUE, PDE_RHS, TERMINAL_RATE, Inver
 from mfg_inverse.pde import OperatorCache, solve_fp, solve_hjb_linear
 from mfg_inverse import optim
 
-from conftest import random_policy, small_problem
+from conftest import cache, random_policy, small_problem
 from dense_reference import (
     dense_coupled_adjoint_solve,
     dense_fp_solve,
@@ -218,7 +218,7 @@ def test_criterion_07_property_suite(rng):
 
     # mass conservation and positivity under a rough random policy
     prob = small_problem(points=16, steps=20)
-    m = solve_fp(prob, random_policy(prob.grid, rng))
+    m = solve_fp(prob, cache(prob, random_policy(prob.grid, rng)))
     drift = max(
         abs(integrate(prob.grid, m[level]) - 1.0)
         for level in range(prob.grid.time_steps + 1)
@@ -232,7 +232,8 @@ def test_criterion_07_property_suite(rng):
     tiny = small_problem(points=8, steps=10)
     grid = tiny.grid
     q = random_policy(grid, rng, scale=0.5)
-    m_fast = solve_fp(tiny, q)
+    ops = cache(tiny, q)
+    m_fast = solve_fp(tiny, ops)
     m_dense = dense_fp_solve(grid, q, tiny.eps, tiny.m0)
     fp_err = np.max(np.abs(m_fast - m_dense))
     x = grid.coordinates()[:, 0]
@@ -241,7 +242,7 @@ def test_criterion_07_property_suite(rng):
         [eo_hamiltonian(grid, q[n]) + b + tiny.coupling(m_fast[n])
          for n in range(grid.time_steps + 1)]
     )
-    u_fast = solve_hjb_linear(tiny, q, m_fast, b)
+    u_fast = solve_hjb_linear(tiny, ops, m_fast, b)
     u_dense = dense_hjb_solve(grid, q, tiny.eps, sources, tiny.uT)
     hjb_err = np.max(np.abs(u_fast - u_dense))
     state = policy_iteration_forward(tiny, b, tol=1e-11)
@@ -292,17 +293,16 @@ def test_criterion_07_property_suite(rng):
     for name, entry in report.items():
         if not entry["ok"]:
             failures.append(f"{name} gradient error {entry['max_rel_error']:.2e}")
-    q8 = random_policy(grid, rng, scale=0.5)
-    m8 = solve_fp(tiny, q8)
-    ops = OperatorCache(grid, tiny.eps, q8)
+    ops8 = cache(tiny, random_policy(grid, rng, scale=0.5))
+    m8 = solve_fp(tiny, ops8)
     g = rng.uniform(-1.0, 1.0, grid.num_points)
     n = grid.num_points
-    u0_zero = solve_hjb_linear(tiny, q8, m8, np.zeros(n), ops)[0]
+    u0_zero = solve_hjb_linear(tiny, ops8, m8, np.zeros(n))[0]
     columns = np.empty((n, n))
     for j in range(n):
         basis = np.zeros(n)
         basis[j] = 1.0
-        columns[:, j] = solve_hjb_linear(tiny, q8, m8, basis, ops)[0] - u0_zero
+        columns[:, j] = solve_hjb_linear(tiny, ops8, m8, basis)[0] - u0_zero
     gamma = 1e-4
     diff = np.zeros((n, n))
     for i in range(n):
@@ -311,7 +311,7 @@ def test_criterion_07_property_suite(rng):
     normal = columns.T @ columns + gamma * diff.T @ diff
     b_star = np.linalg.solve(normal, columns.T @ (g - u0_zero))
     b_opt, _ = invert_step_u0(
-        tiny, q8, m8, InverseData(kind=INITIAL_VALUE, g=g), gamma, np.zeros(n),
+        tiny, ops8, m8, InverseData(kind=INITIAL_VALUE, g=g), gamma, np.zeros(n),
         opt_tol=1e-12, max_opt_iter=1000,
     )
     ls_gap = np.max(np.abs(b_opt - b_star))

@@ -8,7 +8,6 @@ from mfg_inverse.grid import (
     integrate,
     l2_norm,
     laplacian_apply,
-    one_sided_gradients,
     policy_gap,
 )
 from mfg_inverse.pde import OperatorCache
@@ -72,13 +71,13 @@ def test_laplacian_sums_to_zero():
 
 def test_one_sided_gradients_constant():
     grid = make_grid(2, 5, 2, 1.0)
-    slopes = one_sided_gradients(grid, np.full(grid.num_points, -2.2))
+    slopes = gradient_field(grid, np.full(grid.num_points, -2.2))
     assert np.max(np.abs(slopes)) == 0.0
 
 
 def test_one_sided_gradients_unit_bump():
     grid = make_grid(1, 4, 2, 1.0)
-    slopes = one_sided_gradients(grid, np.array([0.0, 1.0, 0.0, 0.0]))
+    slopes = gradient_field(grid, np.array([0.0, 1.0, 0.0, 0.0]))
     # backward components first, forward components after
     assert slopes[1, 0] == pytest.approx(1.0 / grid.dx, abs=0)
     assert slopes[1, 1] == pytest.approx(-1.0 / grid.dx, abs=0)
@@ -89,7 +88,7 @@ def test_one_sided_gradients_first_order():
     for points in (32, 64):
         grid = make_grid(1, points, 2, 1.0)
         x = grid.coordinates()[:, 0]
-        slopes = one_sided_gradients(grid, np.sin(2 * np.pi * x))
+        slopes = gradient_field(grid, np.sin(2 * np.pi * x))
         exact = 2 * np.pi * np.cos(2 * np.pi * x)
         err = max(
             np.max(np.abs(slopes[:, 0] - exact)), np.max(np.abs(slopes[:, 1] - exact))
@@ -121,7 +120,7 @@ def test_eo_hamiltonian_consistency_first_order():
         grid = make_grid(1, points, 2, 1.0)
         x = grid.coordinates()[:, 0]
         f = np.sin(2 * np.pi * x)
-        out = eo_hamiltonian(grid, one_sided_gradients(grid, f))
+        out = eo_hamiltonian(grid, gradient_field(grid, f))
         exact = 0.5 * (2 * np.pi * np.cos(2 * np.pi * x)) ** 2
         errors.append(np.max(np.abs(out - exact)))
     order = np.log2(errors[0] / errors[1])
@@ -181,11 +180,19 @@ def test_l2_norm_matches_quadrature(rng):
 
 
 def test_gradient_field_stacks_all_levels(rng):
+    for dim in (1, 2):
+        grid = make_grid(dim, 5, 3, 1.0)
+        u = rng.standard_normal((4, grid.num_points))
+        stacked = gradient_field(grid, u)
+        assert stacked.shape == (4, grid.num_points, 2 * dim)
+        for n in range(4):
+            np.testing.assert_array_equal(stacked[n], gradient_field(grid, u[n]))
+
+
+def test_gradient_field_rejects_a_field_of_the_wrong_size():
     grid = make_grid(1, 8, 3, 1.0)
-    u = rng.standard_normal((4, 8))
-    stacked = gradient_field(grid, u)
-    for n in range(4):
-        np.testing.assert_array_equal(stacked[n], one_sided_gradients(grid, u[n]))
+    with pytest.raises(ValueError, match="expected field of shape"):
+        gradient_field(grid, np.zeros((4, 7)))
 
 
 def test_policy_gap_is_max_over_levels(rng):

@@ -30,7 +30,7 @@ from mfg_inverse.pde import (
 
 from mfg_inverse.sparse import LinearSolveError
 
-from conftest import small_problem, without_coupling
+from conftest import cache, small_problem, without_coupling
 from dense_reference import fit_line
 
 
@@ -96,27 +96,26 @@ def test_closed_form_b_reextracts_obstacle_from_rate_data():
 def quadratic_setup(rng):
     prob = small_problem(points=8, steps=10)
     grid = prob.grid
-    q = rng.uniform(-0.5, 0.5, (grid.time_steps + 1, grid.num_points, 2 * grid.dim))
-    m = solve_fp(prob, q)
-    return prob, q, m
+    ops = cache(prob, rng.uniform(-0.5, 0.5, (grid.time_steps + 1, grid.num_points, 2 * grid.dim)))
+    return prob, ops, solve_fp(prob, ops)
 
 
 def test_step2_objective_vanishes_on_consistent_data(quadratic_setup):
-    prob, q, m = quadratic_setup
+    prob, ops, m = quadratic_setup
     x = prob.grid.coordinates()[:, 0]
     b = 0.3 * np.sin(2 * np.pi * x)
-    data = InverseData(kind=INITIAL_VALUE, g=solve_hjb_linear(prob, q, m, b)[0])
-    value, gradient = step2_gradient_u0(prob, q, m, b, data, 0.0)
+    data = InverseData(kind=INITIAL_VALUE, g=solve_hjb_linear(prob, ops, m, b)[0])
+    value, gradient = step2_gradient_u0(prob, ops, m, b, data, 0.0)
     assert value <= 1e-18
     assert np.max(np.abs(gradient)) <= 1e-12
 
 
 def test_step2_regularizer_ignores_constant_obstacles(quadratic_setup, rng):
-    prob, q, m = quadratic_setup
+    prob, ops, m = quadratic_setup
     b = np.full(prob.grid.num_points, 1.3)
     data = InverseData(kind=INITIAL_VALUE, g=rng.uniform(-1.0, 1.0, prob.grid.num_points))
-    plain = step2_gradient_u0(prob, q, m, b, data, 0.0)
-    regularized = step2_gradient_u0(prob, q, m, b, data, 1.0)
+    plain = step2_gradient_u0(prob, ops, m, b, data, 0.0)
+    regularized = step2_gradient_u0(prob, ops, m, b, data, 1.0)
     assert regularized[0] == plain[0]
     np.testing.assert_array_equal(regularized[1], plain[1])
 
@@ -130,11 +129,11 @@ def test_step2_gradient_matches_finite_differences(quadratic_setup, rng, extra_l
 def test_step2_gradient_matches_finite_differences_in_2d(rng, extra_levels):
     prob = small_problem(dim=2, points=5, steps=6)
     grid = prob.grid
-    q = rng.uniform(-0.5, 0.5, (grid.time_steps + 1, grid.num_points, 2 * grid.dim))
-    check_step2_gradient(prob, q, solve_fp(prob, q), rng, extra_levels)
+    ops = cache(prob, rng.uniform(-0.5, 0.5, (grid.time_steps + 1, grid.num_points, 2 * grid.dim)))
+    check_step2_gradient(prob, ops, solve_fp(prob, ops), rng, extra_levels)
 
 
-def check_step2_gradient(prob, q, m, rng, extra_levels):
+def check_step2_gradient(prob, ops, m, rng, extra_levels):
     """Central differences of the step (ii) objective along ten random
     directions match its adjoint gradient."""
     grid = prob.grid
@@ -143,12 +142,12 @@ def check_step2_gradient(prob, q, m, rng, extra_levels):
     target = InverseData(kind=INITIAL_VALUE, g=g, extra=extra, noise_level=0.0)
     b0 = rng.uniform(-0.5, 0.5, grid.num_points)
     gamma = 1e-4
-    _, gradient = step2_gradient_u0(prob, q, m, b0, target, gamma)
+    _, gradient = step2_gradient_u0(prob, ops, m, b0, target, gamma)
     h = 1e-5
     for _ in range(10):
         d = rng.uniform(-1.0, 1.0, grid.num_points)
-        up, _ = step2_gradient_u0(prob, q, m, b0 + h * d, target, gamma)
-        down, _ = step2_gradient_u0(prob, q, m, b0 - h * d, target, gamma)
+        up, _ = step2_gradient_u0(prob, ops, m, b0 + h * d, target, gamma)
+        down, _ = step2_gradient_u0(prob, ops, m, b0 - h * d, target, gamma)
         fd = (up - down) / (2 * h)
         analytic = grid.cell_volume * np.dot(gradient, d)
         assert abs(fd - analytic) <= 1e-6 * max(abs(fd), 1.0)
@@ -156,19 +155,18 @@ def check_step2_gradient(prob, q, m, rng, extra_levels):
 
 @pytest.mark.filterwarnings("ignore:inversion step stalled")
 def test_invert_step_matches_dense_normal_equations(quadratic_setup, rng):
-    prob, q, m = quadratic_setup
+    prob, ops, m = quadratic_setup
     grid = prob.grid
     n = grid.num_points
     g = rng.uniform(-1.0, 1.0, n)
     gamma = 1e-4
-    ops = OperatorCache(grid, prob.eps, q)
-    u0_zero = solve_hjb_linear(prob, q, m, np.zeros(n), ops)[0]
+    u0_zero = solve_hjb_linear(prob, ops, m, np.zeros(n))[0]
     # probe the affine map b -> u(., 0) column by column
     columns = np.empty((n, n))
     for j in range(n):
         basis = np.zeros(n)
         basis[j] = 1.0
-        columns[:, j] = solve_hjb_linear(prob, q, m, basis, ops)[0] - u0_zero
+        columns[:, j] = solve_hjb_linear(prob, ops, m, basis)[0] - u0_zero
     forward_diff = np.zeros((n, n))
     for i in range(n):
         forward_diff[i, i] = -1.0 / grid.dx
@@ -176,7 +174,7 @@ def test_invert_step_matches_dense_normal_equations(quadratic_setup, rng):
     normal = columns.T @ columns + gamma * forward_diff.T @ forward_diff
     b_star = np.linalg.solve(normal, columns.T @ (g - u0_zero))
     b_opt, _ = invert_step_u0(
-        prob, q, m, InverseData(kind=INITIAL_VALUE, g=g), gamma, np.zeros(n),
+        prob, ops, m, InverseData(kind=INITIAL_VALUE, g=g), gamma, np.zeros(n),
         opt_tol=1e-12, max_opt_iter=1000,
     )
     np.testing.assert_allclose(b_opt, b_star, rtol=0, atol=1e-6)
@@ -184,14 +182,14 @@ def test_invert_step_matches_dense_normal_equations(quadratic_setup, rng):
 
 @pytest.mark.filterwarnings("ignore:inversion step stalled")
 def test_invert_step_warm_restart_is_immediate(quadratic_setup, rng):
-    prob, q, m = quadratic_setup
+    prob, ops, m = quadratic_setup
     n = prob.grid.num_points
     g = InverseData(kind=INITIAL_VALUE, g=rng.uniform(-1.0, 1.0, n))
     b_opt, report = invert_step_u0(
-        prob, q, m, g, 1e-4, np.zeros(n), opt_tol=1e-12, max_opt_iter=1000
+        prob, ops, m, g, 1e-4, np.zeros(n), opt_tol=1e-12, max_opt_iter=1000
     )
     again, rerun = invert_step_u0(
-        prob, q, m, g, 1e-4, b_opt, opt_tol=1e-12, max_opt_iter=1000,
+        prob, ops, m, g, 1e-4, b_opt, opt_tol=1e-12, max_opt_iter=1000,
         curvature=report.curvature,
     )
     assert rerun.iterations == 0
@@ -199,11 +197,11 @@ def test_invert_step_warm_restart_is_immediate(quadratic_setup, rng):
 
 
 def test_invert_step_raises_when_budget_exhausted(quadratic_setup, rng):
-    prob, q, m = quadratic_setup
+    prob, ops, m = quadratic_setup
     g = InverseData(kind=INITIAL_VALUE, g=rng.uniform(-1.0, 1.0, prob.grid.num_points))
     with pytest.raises(InversionError, match="optimizer failed"):
         invert_step_u0(
-            prob, q, m, g, 0.0, np.zeros(prob.grid.num_points),
+            prob, ops, m, g, 0.0, np.zeros(prob.grid.num_points),
             opt_tol=1e-12, max_opt_iter=1,
         )
 

@@ -3,13 +3,7 @@ import pytest
 
 from mfg_inverse import MFGProblem, generate_data, make_grid, policy_iteration_forward
 from mfg_inverse.cli import ExperimentConfig, preset_problem
-from mfg_inverse.grid import (
-    eo_hamiltonian,
-    integrate,
-    l2_norm,
-    laplacian_apply,
-    one_sided_gradients,
-)
+from mfg_inverse.grid import eo_hamiltonian, gradient_field, integrate, l2_norm, laplacian_apply
 from mfg_inverse.mfg_forward import (
     BACKWARD_DIFF,
     INITIAL_VALUE,
@@ -105,7 +99,7 @@ def test_measure_terminal_rate_from_equation(preset_1d, preset_solution):
     grid = prob.grid
     expected = (
         -prob.eps * laplacian_apply(grid, prob.uT)
-        + eo_hamiltonian(grid, one_sided_gradients(grid, prob.uT))
+        + eo_hamiltonian(grid, gradient_field(grid, prob.uT))
         - b_true
         - prob.coupling(sol.m[grid.time_steps])
     )

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from mfg_inverse import MFGProblem, make_grid, policy_iteration_forward
-from mfg_inverse.grid import eo_hamiltonian, gradient_field, integrate, l2_norm, one_sided_gradients
+from mfg_inverse.grid import eo_hamiltonian, gradient_field, integrate, l2_norm, policy_gap
 from mfg_inverse.pde import (
     ConvergenceError,
+    OperatorCache,
     _upwind_div_m_grad,
     hjb_sources,
     solve_adjoint_w,
@@ -14,8 +15,9 @@ from mfg_inverse.pde import (
     solve_fp,
     solve_hjb_linear,
 )
+from mfg_inverse.sparse import LinearSolveError
 
-from conftest import random_policy, small_problem, without_coupling
+from conftest import cache, random_policy, small_problem, without_coupling
 from dense_reference import dense_coupled_adjoint_solve, dense_fp_solve, dense_hjb_solve
 
 ORACLE_TOL = 1e-10
@@ -51,13 +53,13 @@ def test_problem_rejects_non_finite_data_by_name(name, bad):
 
 def test_fp_uniform_density_is_steady():
     prob = small_problem(points=12, steps=8, width=0.0)
-    m = solve_fp(prob, np.zeros((9, 12, 2)))
+    m = solve_fp(prob, cache(prob, np.zeros((9, 12, 2))))
     np.testing.assert_allclose(m, 1.0, rtol=0, atol=1e-13)
 
 
 def test_fp_conserves_mass_and_dissipates_peak():
     prob = small_problem(points=24, steps=16)
-    m = solve_fp(prob, np.zeros((17, 24, 2)))
+    m = solve_fp(prob, cache(prob, np.zeros((17, 24, 2))))
     for level in range(17):
         assert abs(integrate(prob.grid, m[level]) - 1.0) <= 1e-10
     peaks = m.max(axis=1)
@@ -67,7 +69,7 @@ def test_fp_conserves_mass_and_dissipates_peak():
 @pytest.mark.parametrize("dim", [1, 2])
 def test_fp_mass_and_positivity_random_policy(dim, rng):
     prob = small_problem(dim=dim, points=6, steps=10)
-    m = solve_fp(prob, random_policy(prob.grid, rng))
+    m = solve_fp(prob, cache(prob, random_policy(prob.grid, rng)))
     for level in range(11):
         assert abs(integrate(prob.grid, m[level]) - 1.0) <= 1e-10
     assert m.min() >= -1e-13
@@ -76,7 +78,7 @@ def test_fp_mass_and_positivity_random_policy(dim, rng):
 def test_fp_matches_dense_space_time_oracle(rng):
     prob = small_problem(points=8, steps=10)
     q = random_policy(prob.grid, rng)
-    m = solve_fp(prob, q)
+    m = solve_fp(prob, cache(prob, q))
     dense = dense_fp_solve(prob.grid, q, prob.eps, prob.m0)
     assert np.max(np.abs(m - dense)) <= ORACLE_TOL
 
@@ -84,19 +86,19 @@ def test_fp_matches_dense_space_time_oracle(rng):
 def test_hjb_constant_terminal_data_stays_constant():
     prob = without_coupling(small_problem(points=10, steps=6))
     prob = dataclasses.replace(prob, uT=np.full(10, 4.2))
-    q = np.zeros((7, 10, 2))
-    m = solve_fp(prob, q)
-    u = solve_hjb_linear(prob, q, m, np.zeros(10))
+    ops = cache(prob, np.zeros((7, 10, 2)))
+    m = solve_fp(prob, ops)
+    u = solve_hjb_linear(prob, ops, m, np.zeros(10))
     np.testing.assert_allclose(u, 4.2, rtol=0, atol=1e-13)
 
 
 def test_hjb_constant_obstacle_integrates_linearly():
     prob = without_coupling(small_problem(points=10, steps=8, horizon=2.0))
     prob = dataclasses.replace(prob, uT=np.zeros(10))
-    q = np.zeros((9, 10, 2))
-    m = solve_fp(prob, q)
+    ops = cache(prob, np.zeros((9, 10, 2)))
+    m = solve_fp(prob, ops)
     c = -0.7
-    u = solve_hjb_linear(prob, q, m, np.full(10, c))
+    u = solve_hjb_linear(prob, ops, m, np.full(10, c))
     for n, t in enumerate(prob.grid.times):
         np.testing.assert_allclose(u[n], c * (2.0 - t), rtol=0, atol=1e-12)
 
@@ -107,7 +109,7 @@ def test_hjb_matches_dense_space_time_oracle(rng):
     q = random_policy(grid, rng)
     m = np.abs(rng.standard_normal((11, 8))) + 0.2
     b = rng.standard_normal(8)
-    u = solve_hjb_linear(prob, q, m, b)
+    u = solve_hjb_linear(prob, cache(prob, q), m, b)
     sources = [eo_hamiltonian(grid, q[n]) + b + prob.coupling(m[n]) for n in range(10)]
     dense = dense_hjb_solve(grid, q, prob.eps, sources, prob.uT)
     assert np.max(np.abs(u - dense)) <= ORACLE_TOL
@@ -115,7 +117,7 @@ def test_hjb_matches_dense_space_time_oracle(rng):
 
 def upwind_div_m_grad_of_one_level(grid, q, m, v):
     """div(m grad v) of one level, written per level: the reference of the batched form."""
-    v_slopes = one_sided_gradients(grid, v)
+    v_slopes = gradient_field(grid, v)
     out = np.zeros(grid.shape)
     for axis in range(grid.dim):
         a = ((q[:, axis] > 0) * m * v_slopes[:, axis]).reshape(grid.shape)
@@ -152,38 +154,38 @@ def test_batched_sources_equal_the_per_level_formula(dim, coupled, rng):
 
 def test_hjb_is_monotone_in_the_obstacle(rng):
     prob = small_problem(points=12, steps=8)
-    q = random_policy(prob.grid, rng)
-    m = solve_fp(prob, q)
+    ops = cache(prob, random_policy(prob.grid, rng))
+    m = solve_fp(prob, ops)
     b2 = rng.standard_normal(12)
     b1 = b2 + rng.uniform(0.0, 1.0, 12)
-    u1 = solve_hjb_linear(prob, q, m, b1)
-    u2 = solve_hjb_linear(prob, q, m, b2)
+    u1 = solve_hjb_linear(prob, ops, m, b1)
+    u2 = solve_hjb_linear(prob, ops, m, b2)
     assert np.min(u1 - u2) >= -1e-13
 
 
 def test_hjb_obstacle_dependence_superposes(rng):
     prob = small_problem(points=12, steps=8)
-    q = random_policy(prob.grid, rng)
-    m = solve_fp(prob, q)
+    ops = cache(prob, random_policy(prob.grid, rng))
+    m = solve_fp(prob, ops)
     b1 = rng.standard_normal(12)
     b2 = rng.standard_normal(12)
-    diff = solve_hjb_linear(prob, q, m, b1 + b2) - solve_hjb_linear(prob, q, m, b2)
+    diff = solve_hjb_linear(prob, ops, m, b1 + b2) - solve_hjb_linear(prob, ops, m, b2)
     # the value is affine in the obstacle at fixed (q, m): subtracting
     # the homogeneous solve isolates the linear part exactly
-    pure = solve_hjb_linear(prob, q, m, b1) - solve_hjb_linear(prob, q, m, np.zeros(12))
+    pure = solve_hjb_linear(prob, ops, m, b1) - solve_hjb_linear(prob, ops, m, np.zeros(12))
     assert np.max(np.abs(diff - pure)) <= 1e-12
 
 
 def test_adjoint_w_zero_data_stays_zero():
     prob = small_problem(points=10, steps=6)
-    w = solve_adjoint_w(prob, np.zeros((7, 10, 2)), np.zeros(10))
+    w = solve_adjoint_w(cache(prob, np.zeros((7, 10, 2))), np.zeros(10))
     assert np.max(np.abs(w)) == 0.0
 
 
 def test_adjoint_w_reproduces_fp_for_density_data(rng):
     prob = small_problem(points=10, steps=6)
-    q = random_policy(prob.grid, rng)
-    np.testing.assert_array_equal(solve_adjoint_w(prob, q, prob.m0), solve_fp(prob, q))
+    ops = cache(prob, random_policy(prob.grid, rng))
+    np.testing.assert_array_equal(solve_adjoint_w(ops, prob.m0), solve_fp(prob, ops))
 
 
 def test_adjoint_w_matches_dense_oracle_with_offset_start(rng):
@@ -192,7 +194,7 @@ def test_adjoint_w_matches_dense_oracle_with_offset_start(rng):
     q = random_policy(grid, rng)
     w0 = rng.standard_normal(8)
     start = 3
-    w = solve_adjoint_w(prob, q, w0, start_level=start)
+    w = solve_adjoint_w(cache(prob, q), w0, start_level=start)
     assert np.max(np.abs(w[:start])) == 0.0
     dense = dense_fp_solve(
         make_grid(1, 8, 10 - start, grid.dt * (10 - start)), q[start:], prob.eps, w0
@@ -214,7 +216,7 @@ def test_coupled_adjoint_decouples_without_coupling(rng):
     w_init = rng.standard_normal(10)
     w, v = solve_coupled_adjoint(prob, state.u, state.m, w_init, np.zeros(10))
     assert np.max(np.abs(v)) == 0.0
-    alone = solve_adjoint_w(prob, gradient_field(prob.grid, state.u), w_init)
+    alone = solve_adjoint_w(cache(prob, gradient_field(prob.grid, state.u)), w_init)
     assert np.max(np.abs(w - alone)) <= 1e-13
 
 
@@ -235,6 +237,39 @@ def test_coupled_adjoint_matches_dense_monolithic_solve(rng):
     assert np.max(np.abs(v - v_ref)) <= COUPLED_ORACLE_TOL
 
 
+@pytest.mark.parametrize(
+    "sweep, level_solve",
+    [
+        ("fp", "fp_solve"),
+        ("hjb", "hjb_solve"),
+        ("adjoint_w", "fp_solve"),
+        ("coupled_w", "fp_solve"),
+        ("coupled_v", "hjb_solve"),
+    ],
+)
+def test_every_sweep_checks_its_level_solves(monkeypatch, rng, sweep, level_solve):
+    prob = small_problem(points=8, steps=6)
+    state = policy_iteration_forward(prob, np.zeros(8), tol=1e-10)
+    ops = cache(prob, state.q)
+    original = getattr(OperatorCache, level_solve)
+
+    def wrong_at_level_4(self, level, rhs):
+        x = original(self, level, rhs)
+        return x + 1e-6 if level == 4 else x
+
+    monkeypatch.setattr(OperatorCache, level_solve, wrong_at_level_4)
+    with pytest.raises(LinearSolveError, match="^level 4: residual"):
+        if sweep == "fp":
+            solve_fp(prob, ops)
+        elif sweep == "hjb":
+            solve_hjb_linear(prob, ops, state.m, np.zeros(8))
+        elif sweep == "adjoint_w":
+            solve_adjoint_w(ops, rng.standard_normal(8), start_level=2)
+        else:
+            w_init = rng.standard_normal(8) if sweep == "coupled_w" else np.zeros(8)
+            solve_coupled_adjoint(prob, state.u, state.m, w_init, rng.standard_normal(8))
+
+
 def test_coupled_adjoint_reports_non_convergence():
     prob = small_problem(points=8, steps=6)
     state = policy_iteration_forward(prob, np.zeros(8), tol=1e-10)
@@ -247,8 +282,9 @@ def test_coupled_adjoint_reports_non_convergence():
 def test_l2_change_norms_used_by_coupled_adjoint(rng):
     # the stopping metric is the max over levels of the spatial L2 norm
     prob = small_problem(points=8, steps=4)
-    field = rng.standard_normal((5, 8))
-    per_level = [l2_norm(prob.grid, field[n]) for n in range(5)]
+    new, old = rng.standard_normal((2, 5, 8))
+    per_level = [l2_norm(prob.grid, new[n] - old[n]) for n in range(5)]
+    assert policy_gap(prob.grid, new, old) == pytest.approx(max(per_level), rel=1e-14)
     assert max(per_level) == pytest.approx(
-        max(np.sqrt(np.sum(field[n] ** 2) * prob.grid.dx) for n in range(5)), rel=1e-14
+        max(np.sqrt(np.sum((new[n] - old[n]) ** 2) * prob.grid.dx) for n in range(5)), rel=1e-14
     )
