@@ -32,6 +32,7 @@ from .inverse_policy import (
     InverseResult,
     policy_iteration_inverse,
     step2_gradient_u0,
+    tikhonov_weight,
 )
 from .mfg_forward import (
     DATA_KINDS,
@@ -343,7 +344,7 @@ def run_gradcheck(config: ExperimentConfig, directions: int = 10, h: float = 1e-
     ops = OperatorCache(grid, prob.eps, warm.q)
     m = solve_fp(prob, ops)
     b_point = b_true + 0.2 * rng.standard_normal(grid.num_points)
-    gamma = config.gamma if config.gamma is not None else (0.0 if config.noise_level == 0 else 1e-6)
+    gamma = tikhonov_weight(config.gamma, data.noise_level)
 
     def fd_check(fun, grad, tolerance):
         worst = 0.0

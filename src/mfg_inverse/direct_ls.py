@@ -22,7 +22,7 @@ import numpy as np
 
 from . import optim
 from .grid import l2_norm
-from .inverse_policy import InverseResult, _regularizer
+from .inverse_policy import InverseResult, _regularizer, tikhonov_weight
 from .mfg_forward import (
     INITIAL_VALUE,
     PDE_RHS,
@@ -122,8 +122,7 @@ def direct_ls_solve(
     returns its last iterate.
     """
     grid = prob.grid
-    if gamma is None:
-        gamma = 0.0 if data.noise_level == 0.0 else 1e-6
+    gamma = tikhonov_weight(gamma, data.noise_level)
     start = time.perf_counter()
     b0 = np.zeros(grid.num_points) if b0 is None else np.asarray(b0, dtype=float)
     state = {"q": None, "b": None, "sol": None, "opt": None}

@@ -1,8 +1,8 @@
 """Reconstruction of the obstacle by policy iteration.
 
-Each outer iteration replaces the HJB solve of the forward method with
-an inversion step that makes the value function consistent with the
-measurement:
+The inverse method is :func:`mfg_inverse.mfg_forward.policy_iteration`
+with an obstacle that each sweep recomputes from the measurement, so
+that the value function becomes consistent with it:
 
     (i)   m  <- linear Fokker-Planck solve with the current policy
     (ii)  b  <- closed-form update (terminal rate data) or a linear
@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import optim
-from .grid import gradient_field, l2_norm, laplacian_apply, policy_gap
-from .mfg_forward import PDE_RHS, TERMINAL_RATE, InverseData, measure, zero_policy
-from .pde import ConvergenceError, MFGProblem, OperatorCache, require_finite, solve_adjoint_w, solve_fp, solve_hjb_linear
+from .grid import gradient_field, l2_norm, laplacian_apply
+from .mfg_forward import PDE_RHS, TERMINAL_RATE, InverseData, measure, policy_iteration
+from .pde import MFGProblem, OperatorCache, solve_adjoint_w, solve_hjb_linear
 
 # A line-search stall this far above opt_tol is treated as failure.
 STALL_SLACK = 1e4
@@ -80,6 +80,13 @@ def closed_form_b(prob: MFGProblem, m: np.ndarray, g: np.ndarray) -> np.ndarray:
     """
     zero = np.zeros(prob.grid.num_points)
     return measure(prob, None, m, zero, TERMINAL_RATE, PDE_RHS) - g
+
+
+def tikhonov_weight(gamma: float | None, noise_level: float) -> float:
+    """``gamma`` if given, else the default: 0 for noiseless data, 1e-6 otherwise."""
+    if gamma is not None:
+        return gamma
+    return 0.0 if noise_level == 0.0 else 1e-6
 
 
 def _regularizer(prob: MFGProblem, b: np.ndarray, gamma: float) -> tuple[float, np.ndarray]:
@@ -187,26 +194,21 @@ def policy_iteration_inverse(
     gamma defaults to 0 for noiseless data and 1e-6 otherwise.  With
     ``opt_tol_schedule="tightening"`` the step (ii) tolerance starts at
     1e-6 and halves each outer iteration until it reaches ``opt_tol``;
-    the default keeps it fixed at ``opt_tol``.  Raises NonFiniteError on
-    the first sweep whose density, obstacle or policy gap is not finite.
+    the default keeps it fixed at ``opt_tol``.  Stops and raises as
+    :func:`~mfg_inverse.mfg_forward.policy_iteration` does.
     """
     if opt_tol_schedule not in OPT_TOL_SCHEDULES:
         raise ValueError(f"opt_tol_schedule must be one of {OPT_TOL_SCHEDULES}, got {opt_tol_schedule!r}")
-    if gamma is None:
-        gamma = 0.0 if data.noise_level == 0.0 else 1e-6
+    gamma = tikhonov_weight(gamma, data.noise_level)
     grid = prob.grid
     start = time.perf_counter()
-    q = zero_policy(prob) if q0 is None else np.asarray(q0, dtype=float).copy()
     b = np.zeros(grid.num_points)
-    gaps: list[float] = []
     b_errors: list[float] = []
     opt_iters: list[int] = []
-    u = m = None
     curvature = None
-    for k in range(1, max_iter + 1):
-        ops = OperatorCache(grid, prob.eps, q)
-        m = solve_fp(prob, ops)
-        require_finite("m", m, k, gaps)
+
+    def obstacle(k, ops, m):
+        nonlocal b, curvature
         if data.kind == TERMINAL_RATE:
             b = closed_form_b(prob, m, data.g)
         else:
@@ -218,23 +220,13 @@ def policy_iteration_inverse(
             )
             curvature = report.curvature
             opt_iters.append(report.iterations)
-        require_finite("b", b, k, gaps)
-        u = solve_hjb_linear(prob, ops, m, b)
-        q_new = gradient_field(grid, u)
-        gap = policy_gap(grid, q_new, q)
-        gaps.append(gap)
-        require_finite("the policy gap", gap, k, gaps)
         if b_true is not None:
             b_errors.append(l2_norm(grid, b - b_true))
-        q = q_new
-        if gap < tol:
-            # iterates are indexed from zero; sweep k produced iterate k - 1
-            return InverseResult(
-                b, u, m, q, k - 1, gaps, b_errors,
-                time.perf_counter() - start, opt_iters,
-            )
-    raise ConvergenceError(
-        f"inverse policy iteration did not converge in {max_iter} iterations"
-        f" (last gap {gaps[-1]:.3e})",
-        gaps[-1],
+        return b
+
+    sol = policy_iteration(prob, obstacle, q0, tol, max_iter)
+    # iterates are indexed from zero; sweep k produced iterate k - 1
+    return InverseResult(
+        b, sol.u, sol.m, sol.q, sol.iterations - 1, sol.policy_gap_history, b_errors,
+        time.perf_counter() - start, opt_iters,
     )

@@ -1,19 +1,24 @@
-"""Forward policy iteration for the coupled MFG system and synthetic
+"""Policy iteration for the coupled MFG system and synthetic
 measurement generation.
 
-One forward iteration, starting from a policy q:
+One sweep of :func:`policy_iteration`, starting from a policy q:
 
     (i)   m  <- linear Fokker-Planck solve with q
-    (ii)  u  <- linear HJB solve with q, m and the known obstacle b
+    (ii)  b  <- the sweep's obstacle, from q and m
+          u  <- linear HJB solve with q, m and b
     (iii) q  <- one-sided gradients of u
 
 The loop stops when the policy update gap (max over time levels of the
 spatial L2 norm of the change, all slope components) drops below tol.
+The forward method holds b fixed; the inverse method
+(:mod:`mfg_inverse.inverse_policy`) recomputes it from the measurement
+in every sweep, which makes it the same fixed-point iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -84,18 +89,20 @@ def zero_policy(prob: MFGProblem) -> np.ndarray:
     return np.zeros((g.time_steps + 1, g.num_points, 2 * g.dim))
 
 
-def policy_iteration_forward(
+def policy_iteration(
     prob: MFGProblem,
-    b: np.ndarray,
+    obstacle: Callable[[int, OperatorCache, np.ndarray], np.ndarray],
     q0: np.ndarray | None = None,
     tol: float = 1e-9,
     max_iter: int = 200,
 ) -> MFGSolution:
-    """Solve the coupled MFG system with known obstacle by policy iteration.
+    """Policy iteration whose sweep k solves the HJB step with the
+    obstacle ``obstacle(k, ops, m)``, given the sweep's operator cache
+    and density.
 
-    Raises NonFiniteError on the first sweep whose density or policy gap
-    is not finite, and ConvergenceError when ``max_iter`` sweeps do not
-    bring the gap below ``tol``.
+    Raises NonFiniteError on the first sweep whose density, obstacle or
+    policy gap is not finite, and ConvergenceError when ``max_iter``
+    sweeps do not bring the gap below ``tol``.
     """
     q = zero_policy(prob) if q0 is None else np.asarray(q0, dtype=float).copy()
     gaps: list[float] = []
@@ -103,6 +110,8 @@ def policy_iteration_forward(
         ops = OperatorCache(prob.grid, prob.eps, q)
         m = solve_fp(prob, ops)
         require_finite("m", m, k, gaps)
+        b = obstacle(k, ops, m)
+        require_finite("b", b, k, gaps)
         u = solve_hjb_linear(prob, ops, m, b)
         q_new = gradient_field(prob.grid, u)
         gap = policy_gap(prob.grid, q_new, q)
@@ -112,10 +121,21 @@ def policy_iteration_forward(
         if gap < tol:
             return MFGSolution(u, m, q, k, gaps)
     raise ConvergenceError(
-        f"forward policy iteration did not converge in {max_iter} iterations"
+        f"policy iteration did not converge in {max_iter} iterations"
         f" (last gap {gaps[-1]:.3e})",
         gaps[-1],
     )
+
+
+def policy_iteration_forward(
+    prob: MFGProblem,
+    b: np.ndarray,
+    q0: np.ndarray | None = None,
+    tol: float = 1e-9,
+    max_iter: int = 200,
+) -> MFGSolution:
+    """Solve the coupled MFG system with known obstacle by policy iteration."""
+    return policy_iteration(prob, lambda k, ops, m: b, q0, tol, max_iter)
 
 
 def measure(

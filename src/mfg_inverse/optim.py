@@ -1,24 +1,20 @@
 """Quasi-Newton minimizer used by both inversion routes.
 
 BFGS with a strong Wolfe line search (c1 = 1e-4, c2 = 0.9), terminating
-on the sup norm of the gradient.  Problems with more than
-``DENSE_LIMIT`` unknowns switch to the limited-memory update with a
-20-pair history; below that the dense inverse Hessian is maintained.
-The initial inverse Hessian is the identity scaled by 1 / |g0|, and it
-is rescaled by the standard s.y / y.y factor before the first update.
+on the sup norm of the gradient.  The dense inverse Hessian is kept at
+every problem size.  The initial inverse Hessian is the identity scaled
+by 1 / |g0|, and it is rescaled by the standard s.y / y.y factor before
+the first update.
 Updates that violate the curvature condition s.y > 0 are skipped.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-DENSE_LIMIT = 4096
-LBFGS_MEMORY = 20
 WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
 
@@ -118,38 +114,8 @@ class _DenseInverseHessian:
         return True
 
 
-class _LimitedMemoryInverseHessian:
-    def __init__(self, scale, memory=LBFGS_MEMORY):
-        self.pairs = deque(maxlen=memory)
-        self.scale = scale
-        self.gamma = None
-
-    def direction(self, g):
-        q = g.copy()
-        alphas = []
-        for s, y, rho in reversed(self.pairs):
-            a = rho * float(s @ q)
-            alphas.append(a)
-            q -= a * y
-        q *= self.gamma if self.gamma is not None else self.scale
-        for (s, y, rho), a in zip(self.pairs, reversed(alphas)):
-            beta = rho * float(y @ q)
-            q += (a - beta) * s
-        return -q
-
-    def update(self, s, y):
-        sy = float(s @ y)
-        if sy <= 1e-14 * np.linalg.norm(s) * np.linalg.norm(y):
-            return False
-        self.pairs.append((s.copy(), y.copy(), 1.0 / sy))
-        self.gamma = sy / float(y @ y)
-        return True
-
-
 def _compatible(curvature, n):
-    if isinstance(curvature, _DenseInverseHessian):
-        return curvature.h.shape == (n, n)
-    return isinstance(curvature, _LimitedMemoryInverseHessian)
+    return isinstance(curvature, _DenseInverseHessian) and curvature.h.shape == (n, n)
 
 
 def minimize(
@@ -173,14 +139,10 @@ def minimize(
     if opt <= opt_tol:
         return OptimReport(x, f, opt, 0, fun.evals, True, "optimal at start", curvature)
 
-    if curvature is not None and _compatible(curvature, len(x)):
+    if _compatible(curvature, len(x)):
         hess = curvature
     else:
-        scale = 1.0 / np.linalg.norm(g)
-        if len(x) <= DENSE_LIMIT:
-            hess = _DenseInverseHessian(len(x), scale)
-        else:
-            hess = _LimitedMemoryInverseHessian(scale)
+        hess = _DenseInverseHessian(len(x), 1.0 / np.linalg.norm(g))
 
     for k in range(1, max_iter + 1):
         p = hess.direction(g)
@@ -189,10 +151,7 @@ def minimize(
             # retry once along steepest descent with a fresh metric
             gnorm = np.linalg.norm(g)
             p = -g / gnorm
-            if len(x) <= DENSE_LIMIT:
-                hess = _DenseInverseHessian(len(x), 1.0 / gnorm)
-            else:
-                hess = _LimitedMemoryInverseHessian(1.0 / gnorm)
+            hess = _DenseInverseHessian(len(x), 1.0 / gnorm)
             result = _line_search(fun, x, p, f, g)
         if result is None:
             opt = float(np.abs(g).max())

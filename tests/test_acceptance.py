@@ -8,6 +8,8 @@ because the method-comparison and noisy runs repeat the cold-start
 baseline at full size.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -149,8 +151,11 @@ def test_criterion_04_two_dimensional_error_drop():
 
 @pytest.fixture(scope="session")
 def comparison_runs(preset_1d):
+    """Policy and direct runs per data kind, and the RuntimeWarnings that
+    each direct run emitted (one if it stopped unconverged)."""
     prob, b_true = preset_1d
     runs = {}
+    direct_warnings = {}
     for kind in (TERMINAL_RATE, INITIAL_VALUE):
         data = generate_data(
             prob, b_true, kind, fwd_tol=1e-12, terminal_rate_mode=PDE_RHS
@@ -159,16 +164,21 @@ def comparison_runs(preset_1d):
             prob, data, tol=1e-8, opt_tol=1e-10,
             opt_tol_schedule="tightening", b_true=b_true,
         )
-        direct = direct_ls_solve(
-            prob, data, opt_tol=1e-10, max_iter=100,
-            fwd_tol=1e-8, cold_start=True, b_true=b_true,
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
+            direct = direct_ls_solve(
+                prob, data, opt_tol=1e-10, max_iter=100,
+                fwd_tol=1e-8, cold_start=True, b_true=b_true,
+            )
         runs[kind] = (policy, direct)
-    return prob, b_true, runs
+        direct_warnings[kind] = [
+            str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)
+        ]
+    return prob, b_true, runs, direct_warnings
 
 
 def test_criterion_05_policy_iteration_outpaces_direct_ls(comparison_runs):
-    prob, b_true, runs = comparison_runs
+    prob, b_true, runs, _ = comparison_runs
     ratios = {
         kind: runs[kind][0].wall_time_seconds / runs[kind][1].wall_time_seconds
         for kind in runs
@@ -186,6 +196,28 @@ def test_criterion_05_policy_iteration_outpaces_direct_ls(comparison_runs):
     assert ratios[TERMINAL_RATE] <= 0.5, detail
     assert ratios[INITIAL_VALUE] <= 0.5, detail
     assert rel_policy <= rel_direct, detail
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        TERMINAL_RATE,
+        pytest.param(
+            INITIAL_VALUE,
+            marks=pytest.mark.xfail(
+                reason="the cold-start direct run stops at its 100-iteration cap,"
+                " at optimality 1.176e-10 against 1e-10",
+                strict=False,
+            ),
+        ),
+    ],
+)
+def test_criterion_05_direct_ls_converges(comparison_runs, kind):
+    *_, direct_warnings = comparison_runs
+    warned = direct_warnings[kind]
+    detail = "; ".join(warned) if warned else "converged within opt_tol"
+    announce(f"criterion 5: direct LS on {kind} data", not warned, detail)
+    assert not warned, detail
 
 
 def test_criterion_06_noise_robustness(preset_1d, value_run):

@@ -18,7 +18,7 @@ from mfg_inverse.mfg_forward import (
     InverseData,
     mfg_residual,
 )
-from mfg_inverse import inverse_policy
+from mfg_inverse import inverse_policy, mfg_forward
 from mfg_inverse.pde import (
     ConvergenceError,
     MFGProblem,
@@ -303,7 +303,7 @@ def count_fp_sweeps(monkeypatch):
         sweeps.append(1)
         return solve_fp(*args)
 
-    monkeypatch.setattr(inverse_policy, "solve_fp", counted_solve_fp)
+    monkeypatch.setattr(mfg_forward, "solve_fp", counted_solve_fp)
     return sweeps
 
 

@@ -211,3 +211,19 @@ def test_nan_policy_fails_on_the_first_sweep(monkeypatch, level, error, message)
     with pytest.raises(error, match=message):
         policy_iteration_forward(prob, np.zeros(16), q0=q0, max_iter=200)
     assert len(sweeps) == 1
+
+
+def test_non_finite_obstacle_fails_on_the_first_sweep(monkeypatch):
+    prob = small_problem(points=16, steps=10)
+    sweeps = []
+
+    def counted_solve_fp(*args):
+        sweeps.append(1)
+        return solve_fp(*args)
+
+    monkeypatch.setattr(mfg_forward, "solve_fp", counted_solve_fp)
+    b = np.zeros(16)
+    b[5] = np.nan
+    with pytest.raises(NonFiniteError, match="b is non-finite after sweep 1"):
+        policy_iteration_forward(prob, b, max_iter=200)
+    assert len(sweeps) == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from mfg_inverse.optim import DENSE_LIMIT, minimize
+from mfg_inverse.optim import minimize
 
 
 def quadratic(target):
@@ -98,21 +98,6 @@ def test_line_search_failure_reports_last_iterate():
     assert not report.converged
     assert "line search" in report.message
     assert report.objective == kink(report.minimizer)[0]
-
-
-def test_limited_memory_variant_above_dense_limit(rng):
-    n = DENSE_LIMIT + 1
-    scale = rng.uniform(1.0, 4.0, n)
-    target = rng.standard_normal(n)
-
-    def fun(x):
-        d = x - target
-        g = scale * d
-        return 0.5 * float(d @ g), g
-
-    report = minimize(fun, np.zeros(n), opt_tol=1e-8, max_iter=300)
-    assert report.converged
-    assert np.max(np.abs(report.minimizer - target)) <= 1e-6
 
 
 def test_curvature_reuse_shortens_warm_restarts(rng):

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfg_inverse import MFGProblem, make_grid, policy_iteration_forward
 from mfg_inverse.grid import eo_hamiltonian, gradient_field, integrate, l2_norm, policy_gap
@@ -67,10 +69,19 @@ def test_fp_conserves_mass_and_dissipates_peak():
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_fp_mass_and_positivity_random_policy(dim, rng):
-    prob = small_problem(dim=dim, points=6, steps=10)
-    m = solve_fp(prob, cache(prob, random_policy(prob.grid, rng)))
-    for level in range(11):
+@settings(max_examples=20, deadline=None)
+@given(
+    points=st.integers(4, 8),
+    steps=st.integers(2, 12),
+    eps=st.floats(0.05, 1.0),
+    scale=st.floats(0.0, 20.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fp_mass_and_positivity_random_policy(dim, points, steps, eps, scale, seed):
+    prob = small_problem(dim=dim, points=points, steps=steps, eps=eps)
+    q = random_policy(prob.grid, np.random.default_rng(seed), scale)
+    m = solve_fp(prob, cache(prob, q))
+    for level in range(steps + 1):
         assert abs(integrate(prob.grid, m[level]) - 1.0) <= 1e-10
     assert m.min() >= -1e-13
 
