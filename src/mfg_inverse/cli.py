@@ -34,21 +34,16 @@ from .inverse_policy import (
     step2_gradient_u0,
     tikhonov_weight,
 )
-from .mfg_forward import (
-    DATA_KINDS,
-    PDE_RHS,
-    TERMINAL_RATE,
-    TERMINAL_RATE_MODES,
-    InverseData,
-    generate_data,
-    measure,
-    policy_iteration_forward,
-)
+from .mfg_forward import DATA_KINDS, InverseData, generate_data, measure, policy_iteration_forward
 from .pde import MFGProblem, OperatorCache, solve_fp
 
 # bundled problems and the spatial dimension each one fixes
 PRESETS = {"paper-1d": 1, "paper-2d": 2}
 METHODS = ("policy", "direct", "both")
+
+# finite-difference directions and step of run_gradcheck
+GRADCHECK_DIRECTIONS = 10
+GRADCHECK_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -60,7 +55,6 @@ class ExperimentConfig:
     eps: float = 0.3
     coupling_exponent: float = 2.0
     data_kind: str = "utT"
-    terminal_rate_mode: str = PDE_RHS
     extra_observation_times: tuple[float, ...] = ()
     noise_level: float = 0.0
     seed: int = 0
@@ -84,16 +78,12 @@ class ExperimentConfig:
             raise ValueError("extra_observation_times require data_kind = u0")
         if self.noise_level < 0:
             raise ValueError("noise_level must be nonnegative")
-        direct = self.method in ("direct", "both")
-        if direct and self.data_kind == TERMINAL_RATE and self.terminal_rate_mode != PDE_RHS:
-            raise ValueError(f"direct least squares fits utT data in terminal_rate_mode {PDE_RHS} only")
         return self
 
 
 _CHOICES = {
     "preset": PRESETS,
     "data_kind": DATA_KINDS,
-    "terminal_rate_mode": TERMINAL_RATE_MODES,
     "method": METHODS,
     "opt_tol_schedule": OPT_TOL_SCHEDULES,
 }
@@ -199,7 +189,6 @@ def preset_data(config: ExperimentConfig) -> tuple[MFGProblem, np.ndarray, Inver
         noise_level=config.noise_level,
         seed=config.seed,
         fwd_tol=config.data_tol,
-        terminal_rate_mode=config.terminal_rate_mode,
         extra_observation_times=config.extra_observation_times,
     )
     return prob, b_true, data
@@ -254,7 +243,7 @@ def _write_outputs(
     created.append(hist_path)
 
     gu_path = out_dir / f"observation_{name}.csv"
-    predicted = measure(prob, result.u, result.m, result.b, data.kind, data.terminal_rate_mode)
+    predicted = measure(prob, result.u, result.m, result.b, data.kind)
     _write_csv(
         gu_path,
         coord_names + ["g_observed", "gu_reconstructed"],
@@ -327,13 +316,13 @@ def _jsonable(value):
     return value
 
 
-def run_gradcheck(config: ExperimentConfig, directions: int = 10, h: float = 1e-5) -> dict:
+def run_gradcheck(config: ExperimentConfig) -> dict:
     """Compare adjoint gradients with central finite differences.
 
     Checks the linear step (ii) gradient (tolerance 1e-4) and the
     direct-LS gradient for the configured data kind (tolerance 1e-3).
-    Directional derivatives use unit L2 norm directions drawn from the
-    seeded generator.
+    Directional derivatives use GRADCHECK_DIRECTIONS unit L2 norm
+    directions drawn from the seeded generator, with step GRADCHECK_STEP.
     """
     config = config.validate()
     rng = np.random.default_rng(config.seed)
@@ -347,8 +336,8 @@ def run_gradcheck(config: ExperimentConfig, directions: int = 10, h: float = 1e-
     gamma = tikhonov_weight(config.gamma, data.noise_level)
 
     def fd_check(fun, grad, tolerance):
-        worst = 0.0
-        for _ in range(directions):
+        worst, h = 0.0, GRADCHECK_STEP
+        for _ in range(GRADCHECK_DIRECTIONS):
             delta = rng.standard_normal(grid.num_points)
             delta /= l2_norm(grid, delta)
             fd = (fun(b_point + h * delta) - fun(b_point - h * delta)) / (2 * h)

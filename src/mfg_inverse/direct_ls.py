@@ -7,10 +7,10 @@ This is the standard PDE-constrained route the policy-iteration scheme
 is benchmarked against: each gradient costs on the order of a hundred
 linear PDE sweeps when the forward solve starts cold.
 
-Terminal rate measurements are evaluated through the right-hand side of
-the equation at the final time (see :mod:`mfg_inverse.mfg_forward`),
-which keeps the objective and its adjoint gradient consistent; terminal
-rate data recorded in another mode are rejected.
+Terminal rate measurements are the right-hand side of the equation at
+the final time (see :mod:`mfg_inverse.mfg_forward`), so the misfit
+depends on b both directly and through m(., T), and the adjoint
+gradient carries both terms.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .grid import l2_norm
 from .inverse_policy import InverseResult, _regularizer, tikhonov_weight
 from .mfg_forward import (
     INITIAL_VALUE,
-    PDE_RHS,
     TERMINAL_RATE,
     InverseData,
     MFGSolution,
@@ -42,7 +41,6 @@ def objective_direct(
     gamma: float = 0.0,
     fwd_tol: float = 1e-9,
     q_init: np.ndarray | None = None,
-    max_fwd_iter: int = 500,
 ) -> tuple[float, MFGSolution]:
     """Misfit plus regularizer at b, with the forward solution it used.
 
@@ -51,13 +49,8 @@ def objective_direct(
     """
     if data.extra:
         raise ValueError("the direct solver supports a single observation")
-    if data.kind == TERMINAL_RATE and data.terminal_rate_mode != PDE_RHS:
-        raise ValueError(
-            f"the direct solver fits terminal rate data in mode {PDE_RHS!r} only,"
-            f" got {data.terminal_rate_mode!r}"
-        )
-    sol = policy_iteration_forward(prob, b, q0=q_init, tol=fwd_tol, max_iter=max_fwd_iter)
-    predicted = measure(prob, sol.u, sol.m, b, data.kind, PDE_RHS)
+    sol = policy_iteration_forward(prob, b, q0=q_init, tol=fwd_tol, max_iter=500)
+    predicted = measure(prob, sol.u, sol.m, b, data.kind)
     value = 0.5 * l2_norm(prob.grid, predicted - data.g) ** 2
     value += _regularizer(prob, b, gamma)[0]
     return value, sol
@@ -90,7 +83,7 @@ def gradient_direct(
         return gradient + grid.dt * w[1:].sum(axis=0)
     if data.kind != TERMINAL_RATE:
         raise ValueError(f"unknown data kind {data.kind!r}")
-    rate = measure(prob, u, m, b, TERMINAL_RATE, PDE_RHS)
+    rate = measure(prob, u, m, b, TERMINAL_RATE)
     residual = rate - data.g
     w_init = np.zeros(grid.num_points)
     v_term = -residual * prob.coupling_derivative(m[grid.time_steps])
@@ -101,16 +94,15 @@ def gradient_direct(
 def direct_ls_solve(
     prob: MFGProblem,
     data: InverseData,
-    b0: np.ndarray | None = None,
     gamma: float | None = None,
     opt_tol: float = 1e-10,
     max_iter: int = 100,
     fwd_tol: float = 1e-9,
-    adj_tol: float = 1e-10,
     cold_start: bool = False,
     b_true: np.ndarray | None = None,
 ) -> InverseResult:
-    """Reconstruct the obstacle by quasi-Newton descent on the misfit.
+    """Reconstruct the obstacle by quasi-Newton descent on the misfit,
+    starting from b = 0.
 
     By default each evaluation warm-starts the forward solve from the
     previously converged policy; ``cold_start=True`` re-solves from the
@@ -124,13 +116,12 @@ def direct_ls_solve(
     grid = prob.grid
     gamma = tikhonov_weight(gamma, data.noise_level)
     start = time.perf_counter()
-    b0 = np.zeros(grid.num_points) if b0 is None else np.asarray(b0, dtype=float)
     state = {"q": None, "b": None, "sol": None, "opt": None}
 
     def fun_and_grad(bvec):
         q_init = None if cold_start else state["q"]
         value, sol = objective_direct(prob, bvec, data, gamma, fwd_tol, q_init)
-        gradient = gradient_direct(prob, bvec, data, sol, gamma, adj_tol)
+        gradient = gradient_direct(prob, bvec, data, sol, gamma)
         if not cold_start:
             state["q"] = sol.q
         state["b"] = np.array(bvec)
@@ -146,7 +137,9 @@ def direct_ls_solve(
             b_errors.append(l2_norm(grid, bvec - b_true))
         opt_history.append(state["opt"])
 
-    report = optim.minimize(fun_and_grad, b0, opt_tol, max_iter, callback=record)
+    report = optim.minimize(
+        fun_and_grad, np.zeros(grid.num_points), opt_tol, max_iter, callback=record
+    )
     if not report.converged:
         warnings.warn(
             f"direct least squares stopped unconverged: {report.message},"

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import optim
 from .grid import gradient_field, l2_norm, laplacian_apply
-from .mfg_forward import PDE_RHS, TERMINAL_RATE, InverseData, measure, policy_iteration
+from .mfg_forward import TERMINAL_RATE, InverseData, measure, policy_iteration
 from .pde import MFGProblem, OperatorCache, solve_adjoint_w, solve_hjb_linear
 
 # A line-search stall this far above opt_tol is treated as failure.
@@ -72,14 +72,14 @@ class InverseResult:
 def closed_form_b(prob: MFGProblem, m: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Explicit obstacle update from terminal rate data.
 
-    The ``pde_rhs`` measurement is affine in b with slope -1, so
+    The terminal rate measurement is affine in b with slope -1, so
     b = (measurement at b = 0) - g = -g - eps * Lap u_T + H_hat(grad u_T)
     - F(m(., T)).  The policy enters only through m; after the first
     iteration q(., T) equals grad u_T anyway, which is why the advection
     and running cost terms collapse into H_hat.
     """
     zero = np.zeros(prob.grid.num_points)
-    return measure(prob, None, m, zero, TERMINAL_RATE, PDE_RHS) - g
+    return measure(prob, None, m, zero, TERMINAL_RATE) - g
 
 
 def tikhonov_weight(gamma: float | None, noise_level: float) -> float:
@@ -167,6 +167,7 @@ def invert_step_u0(
             warnings.warn(
                 f"inversion step stalled at optimality {report.first_order_optimality:.3e}"
                 f" (tolerance {opt_tol:.0e})",
+                RuntimeWarning,
                 stacklevel=2,
             )
         else:
@@ -182,14 +183,13 @@ def policy_iteration_inverse(
     data: InverseData,
     tol: float = 1e-9,
     max_iter: int = 60,
-    q0: np.ndarray | None = None,
     gamma: float | None = None,
     opt_tol: float = 1e-10,
     opt_tol_schedule: str = "fixed",
-    max_opt_iter: int = 500,
     b_true: np.ndarray | None = None,
 ) -> InverseResult:
-    """Reconstruct the obstacle from one measurement by policy iteration.
+    """Reconstruct the obstacle from one measurement by policy iteration,
+    starting from the zero policy.
 
     gamma defaults to 0 for noiseless data and 1e-6 otherwise.  With
     ``opt_tol_schedule="tightening"`` the step (ii) tolerance starts at
@@ -216,7 +216,7 @@ def policy_iteration_inverse(
             if opt_tol_schedule == "tightening":
                 step_tol = max(opt_tol, 1e-6 * 0.5 ** (k - 1))
             b, report = invert_step_u0(
-                prob, ops, m, data, gamma, b, step_tol, max_opt_iter, curvature=curvature
+                prob, ops, m, data, gamma, b, step_tol, curvature=curvature
             )
             curvature = report.curvature
             opt_iters.append(report.iterations)
@@ -224,7 +224,7 @@ def policy_iteration_inverse(
             b_errors.append(l2_norm(grid, b - b_true))
         return b
 
-    sol = policy_iteration(prob, obstacle, q0, tol, max_iter)
+    sol = policy_iteration(prob, obstacle, tol=tol, max_iter=max_iter)
     # iterates are indexed from zero; sweep k produced iterate k - 1
     return InverseResult(
         b, sol.u, sol.m, sol.q, sol.iterations - 1, sol.policy_gap_history, b_errors,

@@ -13,6 +13,11 @@ spatial L2 norm of the change, all slope components) drops below tol.
 The forward method holds b fixed; the inverse method
 (:mod:`mfg_inverse.inverse_policy`) recomputes it from the measurement
 in every sweep, which makes it the same fixed-point iteration.
+
+A terminal rate measurement is du/dt at the final time as the HJB
+equation prescribes it, -eps Lap u_T + H_hat(grad u_T) - b - F(m(T)):
+affine in b with slope -1, which is what the closed-form inversion
+step and the direct least-squares adjoint both rely on.
 """
 
 from __future__ import annotations
@@ -36,14 +41,6 @@ from .pde import (
 INITIAL_VALUE = "u0"
 TERMINAL_RATE = "utT"
 DATA_KINDS = (INITIAL_VALUE, TERMINAL_RATE)
-
-# Discretizations of the terminal rate measurement: one-sided difference
-# of the last two value levels, or the right-hand side that the equation
-# itself prescribes at the final time.  The second is the one consistent
-# with the closed-form inversion step.
-BACKWARD_DIFF = "backward_diff"
-PDE_RHS = "pde_rhs"
-TERMINAL_RATE_MODES = (BACKWARD_DIFF, PDE_RHS)
 
 
 @dataclass
@@ -70,8 +67,6 @@ class InverseData:
     kind: str
     g: np.ndarray
     noise_level: float = 0.0
-    rng_seed: int = 0
-    terminal_rate_mode: str = BACKWARD_DIFF
     extra: tuple[tuple[int, np.ndarray], ...] = ()
 
     def __post_init__(self):
@@ -144,7 +139,6 @@ def measure(
     m: np.ndarray,
     b: np.ndarray,
     kind: str,
-    terminal_rate_mode: str = BACKWARD_DIFF,
 ) -> np.ndarray:
     """Extract the observation operator value from a solved state."""
     grid = prob.grid
@@ -152,19 +146,13 @@ def measure(
         return u[0].copy()
     if kind != TERMINAL_RATE:
         raise ValueError(f"unknown data kind {kind!r}")
-    if terminal_rate_mode == BACKWARD_DIFF:
-        n = grid.time_steps
-        return (u[n] - u[n - 1]) / grid.dt
-    if terminal_rate_mode == PDE_RHS:
-        # du/dt at t = T as the equation prescribes it:
-        # -eps Lap u_T + H_hat(grad u_T) - b - F(m(T))
-        return (
-            -prob.eps * laplacian_apply(grid, prob.uT)
-            + eo_hamiltonian(grid, gradient_field(grid, prob.uT))
-            - np.asarray(b, dtype=float)
-            - prob.coupling(m[grid.time_steps])
-        )
-    raise ValueError(f"unknown terminal rate mode {terminal_rate_mode!r}")
+    # du/dt at t = T as the equation prescribes it (module docstring)
+    return (
+        -prob.eps * laplacian_apply(grid, prob.uT)
+        + eo_hamiltonian(grid, gradient_field(grid, prob.uT))
+        - np.asarray(b, dtype=float)
+        - prob.coupling(m[grid.time_steps])
+    )
 
 
 def add_measurement_noise(
@@ -189,7 +177,7 @@ def generate_data(
     noise_level: float = 0.0,
     seed: int = 0,
     fwd_tol: float = 1e-12,
-    terminal_rate_mode: str = BACKWARD_DIFF,
+    terminal_rate_mode: str = "pde_rhs",
     extra_observation_times: tuple[float, ...] = (),
 ) -> InverseData:
     """Solve the forward problem for a known obstacle and record data.
@@ -198,10 +186,13 @@ def generate_data(
     (base observation first, then the extra observations in order), so
     data sets are reproducible bit for bit.
     """
+    # kept only because bench/workloads.py still passes its one value
+    if terminal_rate_mode != "pde_rhs":
+        raise ValueError(f"terminal_rate_mode must be 'pde_rhs', got {terminal_rate_mode!r}")
     if kind == TERMINAL_RATE and extra_observation_times:
         raise ValueError("extra observation times require kind 'u0'")
     sol = policy_iteration_forward(prob, b_true, tol=fwd_tol)
-    clean = measure(prob, sol.u, sol.m, b_true, kind, terminal_rate_mode)
+    clean = measure(prob, sol.u, sol.m, b_true, kind)
     rng = np.random.default_rng(seed)
     g = add_measurement_noise(prob.grid, clean, noise_level, rng)
     extra = []
@@ -212,14 +203,7 @@ def generate_data(
         level = min(max(level, 1), prob.grid.time_steps - 1)
         clean_extra = sol.u[level]
         extra.append((level, add_measurement_noise(prob.grid, clean_extra, noise_level, rng)))
-    return InverseData(
-        kind=kind,
-        g=g,
-        noise_level=noise_level,
-        rng_seed=seed,
-        terminal_rate_mode=terminal_rate_mode,
-        extra=tuple(extra),
-    )
+    return InverseData(kind=kind, g=g, noise_level=noise_level, extra=tuple(extra))
 
 
 def mfg_residual(
@@ -244,6 +228,6 @@ def mfg_residual(
         policy_gap(grid, q, gradient_field(grid, u)),
     )
     if data is not None:
-        predicted = measure(prob, u, m, b, data.kind, data.terminal_rate_mode)
+        predicted = measure(prob, u, m, b, data.kind)
         res = max(res, l2_norm(grid, predicted - data.g))
     return res

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mfg_inverse import mfg_forward
 from mfg_inverse.cli import (
     ExperimentConfig,
     _collect_overrides,
@@ -59,6 +60,9 @@ def test_parse_config_file_reports_position(tmp_path):
     path.write_text("preset = paper-1d\nwhatever = 3\n")
     with pytest.raises(ValueError, match=r"bad\.cfg:2: unknown key 'whatever'"):
         parse_config_file(path)
+    path.write_text("terminal_rate_mode = pde_rhs\n")
+    with pytest.raises(ValueError, match=r"bad\.cfg:1: unknown key 'terminal_rate_mode'"):
+        parse_config_file(path)
     path.write_text("just a line\n")
     with pytest.raises(ValueError, match="expected 'key = value'"):
         parse_config_file(path)
@@ -83,13 +87,10 @@ def test_overrides_beat_file_values(tmp_path):
     [
         {"preset": "paper-3d"},
         {"data_kind": "um"},
-        {"terminal_rate_mode": "forward_diff"},
         {"method": "newton"},
         {"opt_tol_schedule": "loose"},
         {"extra_observation_times": (0.5,)},
         {"noise_level": -0.1},
-        {"method": "direct", "terminal_rate_mode": "backward_diff"},
-        {"method": "both", "terminal_rate_mode": "backward_diff"},
     ],
 )
 def test_validate_rejects_bad_values(bad):
@@ -97,9 +98,15 @@ def test_validate_rejects_bad_values(bad):
         ExperimentConfig(**bad).validate()
 
 
-def test_validate_accepts_backward_difference_rates_for_policy_iteration():
-    ExperimentConfig(terminal_rate_mode="backward_diff").validate()
-    ExperimentConfig(method="both", data_kind="u0", terminal_rate_mode="backward_diff").validate()
+def test_terminal_rate_mode_override_fails_before_any_sweep(tmp_path, monkeypatch, capsys):
+    sweeps = []
+    monkeypatch.setattr(mfg_forward, "solve_fp", lambda *args: sweeps.append(1))
+    out = tmp_path / "cli-out"
+    argv = ["run", "--terminal-rate-mode", "backward_diff", "--output-dir", str(out)]
+    assert main(argv) == 1
+    assert "unknown config key 'terminal_rate_mode'" in capsys.readouterr().err
+    assert sweeps == []
+    assert not out.exists()
 
 
 def as_text(value):

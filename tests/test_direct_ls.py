@@ -4,7 +4,7 @@ import pytest
 from mfg_inverse import direct_ls, generate_data, policy_iteration_forward
 from mfg_inverse.direct_ls import direct_ls_solve, gradient_direct, objective_direct
 from mfg_inverse.grid import l2_norm
-from mfg_inverse.mfg_forward import BACKWARD_DIFF, INITIAL_VALUE, PDE_RHS, TERMINAL_RATE, measure
+from mfg_inverse.mfg_forward import INITIAL_VALUE, TERMINAL_RATE, measure
 
 from conftest import small_problem, without_coupling
 
@@ -19,9 +19,7 @@ def tiny_problem():
 
 
 def make_data(prob, b_true, kind):
-    return generate_data(
-        prob, b_true, kind, fwd_tol=1e-12, terminal_rate_mode=PDE_RHS
-    )
+    return generate_data(prob, b_true, kind, fwd_tol=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -83,7 +81,7 @@ def test_gradient_reduces_to_residual_without_coupling(tiny_problem):
     b_off = b_true + 0.2 * np.sin(4 * np.pi * x)
     _, sol = objective_direct(prob, b_off, data, fwd_tol=1e-11)
     gradient = gradient_direct(prob, b_off, data, sol, 0.0, adj_tol=1e-11)
-    residual = measure(prob, sol.u, sol.m, b_off, TERMINAL_RATE, PDE_RHS) - data.g
+    residual = measure(prob, sol.u, sol.m, b_off, TERMINAL_RATE) - data.g
     np.testing.assert_allclose(gradient, -residual, rtol=0, atol=1e-12)
 
 
@@ -144,19 +142,6 @@ def test_extra_observations_are_rejected(tiny_problem):
     )
     with pytest.raises(ValueError, match="single observation"):
         objective_direct(prob, b_true, data)
-
-
-def test_backward_difference_rate_data_is_rejected(tiny_problem):
-    # the objective and its adjoint evaluate the rate through the equation,
-    # which data recorded as a backward difference do not match
-    prob, b_true = tiny_problem
-    data = generate_data(
-        prob, b_true, TERMINAL_RATE, fwd_tol=1e-10, terminal_rate_mode=BACKWARD_DIFF
-    )
-    with pytest.raises(ValueError, match="backward_diff"):
-        objective_direct(prob, b_true, data)
-    with pytest.raises(ValueError, match="backward_diff"):
-        direct_ls_solve(prob, data)
 
 
 def test_unconverged_solve_warns_and_returns_last_iterate(tiny_problem):

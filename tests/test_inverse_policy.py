@@ -13,7 +13,6 @@ from mfg_inverse.inverse_policy import (
 )
 from mfg_inverse.mfg_forward import (
     INITIAL_VALUE,
-    PDE_RHS,
     TERMINAL_RATE,
     InverseData,
     mfg_residual,
@@ -45,9 +44,7 @@ def rate_problem():
 @pytest.fixture(scope="module")
 def rate_result(rate_problem):
     prob, b_true = rate_problem
-    data = generate_data(
-        prob, b_true, TERMINAL_RATE, fwd_tol=1e-11, terminal_rate_mode=PDE_RHS
-    )
+    data = generate_data(prob, b_true, TERMINAL_RATE, fwd_tol=1e-11)
     result = policy_iteration_inverse(prob, data, tol=1e-9, b_true=b_true)
     return data, result
 
@@ -55,9 +52,7 @@ def rate_result(rate_problem):
 @pytest.fixture(scope="module")
 def preset_result():
     prob, b_true = preset_problem(ExperimentConfig())
-    data = generate_data(
-        prob, b_true, TERMINAL_RATE, fwd_tol=1e-11, terminal_rate_mode=PDE_RHS
-    )
+    data = generate_data(prob, b_true, TERMINAL_RATE, fwd_tol=1e-11)
     result = policy_iteration_inverse(prob, data, tol=1e-9, b_true=b_true)
     return prob, b_true, data, result
 
@@ -83,9 +78,7 @@ def test_closed_form_b_reextracts_obstacle_from_rate_data():
     x = prob.grid.coordinates()[:, 0]
     b_true = 0.3 * np.sin(2 * np.pi * x)
     sol = policy_iteration_forward(prob, b_true, tol=1e-11)
-    data = generate_data(
-        prob, b_true, TERMINAL_RATE, fwd_tol=1e-11, terminal_rate_mode=PDE_RHS
-    )
+    data = generate_data(prob, b_true, TERMINAL_RATE, fwd_tol=1e-11)
     b_back = closed_form_b(prob, sol.m, data.g)
     # the measurement and the update use the same discrete operators, so
     # feeding the true density back cancels everything except b itself
@@ -153,7 +146,6 @@ def check_step2_gradient(prob, ops, m, rng, extra_levels):
         assert abs(fd - analytic) <= 1e-6 * max(abs(fd), 1.0)
 
 
-@pytest.mark.filterwarnings("ignore:inversion step stalled")
 def test_invert_step_matches_dense_normal_equations(quadratic_setup, rng):
     prob, ops, m = quadratic_setup
     grid = prob.grid
@@ -173,25 +165,29 @@ def test_invert_step_matches_dense_normal_equations(quadratic_setup, rng):
         forward_diff[i, (i + 1) % n] = 1.0 / grid.dx
     normal = columns.T @ columns + gamma * forward_diff.T @ forward_diff
     b_star = np.linalg.solve(normal, columns.T @ (g - u0_zero))
-    b_opt, _ = invert_step_u0(
-        prob, ops, m, InverseData(kind=INITIAL_VALUE, g=g), gamma, np.zeros(n),
-        opt_tol=1e-12, max_opt_iter=1000,
-    )
+    # opt_tol 1e-12 is below what the line search resolves here
+    with pytest.warns(RuntimeWarning, match="inversion step stalled"):
+        b_opt, _ = invert_step_u0(
+            prob, ops, m, InverseData(kind=INITIAL_VALUE, g=g), gamma, np.zeros(n),
+            opt_tol=1e-12, max_opt_iter=1000,
+        )
     np.testing.assert_allclose(b_opt, b_star, rtol=0, atol=1e-6)
 
 
-@pytest.mark.filterwarnings("ignore:inversion step stalled")
 def test_invert_step_warm_restart_is_immediate(quadratic_setup, rng):
     prob, ops, m = quadratic_setup
     n = prob.grid.num_points
     g = InverseData(kind=INITIAL_VALUE, g=rng.uniform(-1.0, 1.0, n))
-    b_opt, report = invert_step_u0(
-        prob, ops, m, g, 1e-4, np.zeros(n), opt_tol=1e-12, max_opt_iter=1000
-    )
-    again, rerun = invert_step_u0(
-        prob, ops, m, g, 1e-4, b_opt, opt_tol=1e-12, max_opt_iter=1000,
-        curvature=report.curvature,
-    )
+    # both solves stall at opt_tol 1e-12, the second one without a step
+    with pytest.warns(RuntimeWarning, match="inversion step stalled"):
+        b_opt, report = invert_step_u0(
+            prob, ops, m, g, 1e-4, np.zeros(n), opt_tol=1e-12, max_opt_iter=1000
+        )
+    with pytest.warns(RuntimeWarning, match="inversion step stalled"):
+        again, rerun = invert_step_u0(
+            prob, ops, m, g, 1e-4, b_opt, opt_tol=1e-12, max_opt_iter=1000,
+            curvature=report.curvature,
+        )
     assert rerun.iterations == 0
     np.testing.assert_array_equal(again, b_opt)
 
@@ -268,9 +264,7 @@ def test_two_dimensional_reconstruction_converges():
         preset="paper-2d", points_per_dim=20, time_steps=20, tol=1e-8
     )
     prob, b_true = preset_problem(config)
-    data = generate_data(
-        prob, b_true, TERMINAL_RATE, fwd_tol=1e-9, terminal_rate_mode=PDE_RHS
-    )
+    data = generate_data(prob, b_true, TERMINAL_RATE, fwd_tol=1e-9)
     result = policy_iteration_inverse(prob, data, tol=1e-8, b_true=b_true)
     rel = l2_norm(prob.grid, result.b - b_true) / l2_norm(prob.grid, b_true)
     assert rel <= 1e-7
@@ -288,9 +282,7 @@ def test_unknown_opt_tol_schedule_rejected(rate_problem):
 
 def test_iteration_cap_raises_with_last_gap(rate_problem):
     prob, b_true = rate_problem
-    data = generate_data(
-        prob, b_true, TERMINAL_RATE, fwd_tol=1e-9, terminal_rate_mode=PDE_RHS
-    )
+    data = generate_data(prob, b_true, TERMINAL_RATE, fwd_tol=1e-9)
     with pytest.raises(ConvergenceError) as err:
         policy_iteration_inverse(prob, data, tol=1e-9, max_iter=2)
     assert err.value.last_gap > 1e-9
@@ -320,10 +312,12 @@ def test_nan_policy_fails_on_the_first_sweep(rate_result, rate_problem, monkeypa
     prob, _ = rate_problem
     data, _ = rate_result
     sweeps = count_fp_sweeps(monkeypatch)
-    q0 = np.zeros((prob.grid.time_steps + 1, prob.grid.num_points, 2))
+    q0 = mfg_forward.zero_policy(prob)
     q0[level, 5, 0] = np.nan
+    # the inverse method always starts from the zero policy
+    monkeypatch.setattr(mfg_forward, "zero_policy", lambda prob: q0)
     with pytest.raises(error, match=message):
-        policy_iteration_inverse(prob, data, q0=q0, max_iter=60)
+        policy_iteration_inverse(prob, data, max_iter=60)
     assert len(sweeps) == 1
 
 

@@ -3,11 +3,9 @@ import pytest
 
 from mfg_inverse import MFGProblem, generate_data, make_grid, policy_iteration_forward
 from mfg_inverse.cli import ExperimentConfig, preset_problem
-from mfg_inverse.grid import eo_hamiltonian, gradient_field, integrate, l2_norm, laplacian_apply
+from mfg_inverse.grid import eo_hamiltonian, gradient_field, l2_norm, laplacian_apply
 from mfg_inverse.mfg_forward import (
-    BACKWARD_DIFF,
     INITIAL_VALUE,
-    PDE_RHS,
     TERMINAL_RATE,
     add_measurement_noise,
     measure,
@@ -80,19 +78,6 @@ def test_measure_initial_value_is_initial_slice(preset_1d, preset_solution):
     )
 
 
-def test_measure_terminal_rate_backward_difference(preset_1d, preset_solution):
-    prob, b_true = preset_1d
-    sol = preset_solution
-    n = prob.grid.time_steps
-    expected = (sol.u[n] - sol.u[n - 1]) / prob.grid.dt
-    np.testing.assert_allclose(
-        measure(prob, sol.u, sol.m, b_true, TERMINAL_RATE, BACKWARD_DIFF),
-        expected,
-        rtol=0,
-        atol=1e-12,
-    )
-
-
 def test_measure_terminal_rate_from_equation(preset_1d, preset_solution):
     prob, b_true = preset_1d
     sol = preset_solution
@@ -104,31 +89,11 @@ def test_measure_terminal_rate_from_equation(preset_1d, preset_solution):
         - prob.coupling(sol.m[grid.time_steps])
     )
     np.testing.assert_allclose(
-        measure(prob, sol.u, sol.m, b_true, TERMINAL_RATE, PDE_RHS),
+        measure(prob, sol.u, sol.m, b_true, TERMINAL_RATE),
         expected,
         rtol=0,
         atol=1e-12,
     )
-
-
-def test_terminal_rate_modes_agree_to_first_order_in_dt():
-    # single-mode data keeps the solution free of poorly resolved scales,
-    # so the O(dt) gap between the two measurements shows at modest steps
-    diffs = []
-    for steps in (80, 160, 320):
-        grid = make_grid(1, 16, steps, 1.0)
-        x = grid.coordinates()[:, 0]
-        m0 = 1.0 + 0.5 * np.cos(2 * np.pi * x)
-        prob = MFGProblem(grid=grid, eps=0.3, m0=m0, uT=-m0 / integrate(grid, m0))
-        b = 0.2 * np.sin(2 * np.pi * x)
-        sol = policy_iteration_forward(prob, b, tol=1e-9)
-        fd = measure(prob, sol.u, sol.m, b, TERMINAL_RATE, BACKWARD_DIFF)
-        rhs = measure(prob, sol.u, sol.m, b, TERMINAL_RATE, PDE_RHS)
-        diffs.append(l2_norm(grid, fd - rhs))
-    assert diffs[0] > diffs[1] > diffs[2]
-    assert np.log2(diffs[1] / diffs[2]) >= 0.75
-    # measured constant is about 172; first-order bound with headroom
-    assert diffs[2] <= 250.0 / 320
 
 
 def test_noiseless_data_is_seed_independent(preset_1d):
@@ -177,6 +142,9 @@ def test_data_validation_errors(preset_1d):
         generate_data(prob, b_true, INITIAL_VALUE, extra_observation_times=(1.5,))
     with pytest.raises(ValueError):
         generate_data(prob, b_true, "bogus")
+    # pde_rhs is the only terminal rate measurement
+    with pytest.raises(ValueError, match="pde_rhs"):
+        generate_data(prob, b_true, TERMINAL_RATE, terminal_rate_mode="backward_diff")
 
 
 def test_measurement_rejects_non_finite_values():
