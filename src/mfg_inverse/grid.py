@@ -75,20 +75,26 @@ def make_grid(dim: int, points_per_dim: int, time_steps: int, horizon: float) ->
     return Grid(dim, points_per_dim, time_steps, horizon)
 
 
-def _mesh(grid: Grid, f: np.ndarray) -> np.ndarray:
+def _mesh(grid: Grid, f: np.ndarray) -> tuple[np.ndarray, int]:
+    """``f`` reshaped to its leading axes followed by the grid's shape,
+    and the number of leading axes."""
     f = np.asarray(f, dtype=float)
-    if f.shape != (grid.num_points,):
-        raise ValueError(f"expected spatial field of shape ({grid.num_points},), got {f.shape}")
-    return f.reshape(grid.shape)
+    if f.shape[-1:] != (grid.num_points,):
+        raise ValueError(f"expected field of shape (..., {grid.num_points}), got {f.shape}")
+    return f.reshape(f.shape[:-1] + grid.shape), f.ndim - 1
 
 
 def laplacian_apply(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Centered second-order periodic Laplacian of a spatial field."""
-    mesh = _mesh(grid, f)
+    """Centered second-order periodic Laplacian of a field.
+
+    Leading axes of ``f``, such as the time levels of a space-time
+    field, are kept.
+    """
+    mesh, lead = _mesh(grid, f)
     out = np.zeros_like(mesh)
-    for axis in range(grid.dim):
+    for axis in range(lead, lead + grid.dim):
         out += np.roll(mesh, 1, axis=axis) - 2.0 * mesh + np.roll(mesh, -1, axis=axis)
-    return (out / grid.dx**2).ravel()
+    return (out / grid.dx**2).reshape(mesh.shape[:lead] + (-1,))
 
 
 def gradient_field(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -98,17 +104,14 @@ def gradient_field(grid: Grid, f: np.ndarray) -> np.ndarray:
     docstring for the component layout.  Leading axes of ``f``, such as
     the time levels of a space-time field, are kept.
     """
-    f = np.asarray(f, dtype=float)
-    if f.shape[-1:] != (grid.num_points,):
-        raise ValueError(f"expected field of shape (..., {grid.num_points}), got {f.shape}")
-    lead = f.shape[:-1]
-    mesh = f.reshape(lead + grid.shape)
-    slopes = np.empty(lead + (grid.num_points, 2 * grid.dim))
+    mesh, lead = _mesh(grid, f)
+    shape = mesh.shape[:lead]
+    slopes = np.empty(shape + (grid.num_points, 2 * grid.dim))
     for axis in range(grid.dim):
-        back = (mesh - np.roll(mesh, 1, axis=len(lead) + axis)) / grid.dx
-        fwd = (np.roll(mesh, -1, axis=len(lead) + axis) - mesh) / grid.dx
-        slopes[..., axis] = back.reshape(lead + (-1,))
-        slopes[..., grid.dim + axis] = fwd.reshape(lead + (-1,))
+        back = (mesh - np.roll(mesh, 1, axis=lead + axis)) / grid.dx
+        fwd = (np.roll(mesh, -1, axis=lead + axis) - mesh) / grid.dx
+        slopes[..., axis] = back.reshape(shape + (-1,))
+        slopes[..., grid.dim + axis] = fwd.reshape(shape + (-1,))
     return slopes
 
 

@@ -8,7 +8,8 @@ that the value function becomes consistent with it:
     (ii)  b  <- closed-form update (terminal rate data) or a linear
                 least-squares solve (initial value data), then
           u  <- linear HJB solve with the new b
-    (iii) q  <- one-sided gradients of u
+    (iii) q  <- one-sided gradients of u, Anderson-mixed for terminal
+                rate data
 
 For terminal rate data the inversion is explicit.  For initial value
 data step (ii) minimizes
@@ -31,9 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import optim
+from . import anderson, optim
 from .grid import gradient_field, l2_norm, laplacian_apply
-from .mfg_forward import TERMINAL_RATE, InverseData, measure, policy_iteration
+from .mfg_forward import TERMINAL_RATE, InverseData, _policy_iteration, measure
 from .pde import MFGProblem, OperatorCache, solve_adjoint_w, solve_hjb_linear
 
 # A line-search stall this far above opt_tol is treated as failure.
@@ -194,8 +195,10 @@ def policy_iteration_inverse(
     gamma defaults to 0 for noiseless data and 1e-6 otherwise.  With
     ``opt_tol_schedule="tightening"`` the step (ii) tolerance starts at
     1e-6 and halves each outer iteration until it reaches ``opt_tol``;
-    the default keeps it fixed at ``opt_tol``.  Stops and raises as
-    :func:`~mfg_inverse.mfg_forward.policy_iteration` does.
+    the default keeps it fixed at ``opt_tol``.  Terminal rate data
+    run the Anderson-mixed loop; initial value data run it plain.
+    Stops and raises as :func:`~mfg_inverse.mfg_forward.policy_iteration`
+    does.
     """
     if opt_tol_schedule not in OPT_TOL_SCHEDULES:
         raise ValueError(f"opt_tol_schedule must be one of {OPT_TOL_SCHEDULES}, got {opt_tol_schedule!r}")
@@ -224,7 +227,10 @@ def policy_iteration_inverse(
             b_errors.append(l2_norm(grid, b - b_true))
         return b
 
-    sol = policy_iteration(prob, obstacle, tol=tol, max_iter=max_iter)
+    # The u0 sweep map changes with k (its step (ii) tolerance tightens
+    # and its BFGS curvature carries over), so its sweeps are not mixed.
+    depth = anderson.DEPTH if data.kind == TERMINAL_RATE else 0
+    sol = _policy_iteration(prob, obstacle, None, tol, max_iter, depth)
     # iterates are indexed from zero; sweep k produced iterate k - 1
     return InverseResult(
         b, sol.u, sol.m, sol.q, sol.iterations - 1, sol.policy_gap_history, b_errors,

@@ -6,7 +6,8 @@ One sweep of :func:`policy_iteration`, starting from a policy q:
     (i)   m  <- linear Fokker-Planck solve with q
     (ii)  b  <- the sweep's obstacle, from q and m
           u  <- linear HJB solve with q, m and b
-    (iii) q  <- one-sided gradients of u
+    (iii) q  <- one-sided gradients of u, Anderson-mixed with the
+                updates of the last few sweeps
 
 The loop stops when the policy update gap (max over time levels of the
 spatial L2 norm of the change, all slope components) drops below tol.
@@ -27,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import anderson
 from .grid import eo_hamiltonian, gradient_field, l2_norm, laplacian_apply, policy_gap
 from .pde import (
     ConvergenceError,
@@ -45,7 +47,11 @@ DATA_KINDS = (INITIAL_VALUE, TERMINAL_RATE)
 
 @dataclass
 class MFGSolution:
-    """Coupled solution triple; ``iterations`` counts completed sweeps."""
+    """Coupled solution triple; ``iterations`` counts completed sweeps.
+
+    ``policy_gap_history`` holds |G(q_k) - q_k| of each sweep's mixed
+    policy q_k, where G is one sweep (see :func:`policy_iteration`).
+    """
 
     u: np.ndarray
     m: np.ndarray
@@ -61,7 +67,7 @@ class InverseData:
     ``kind`` is "u0" (value at the initial time) or "utT" (time
     derivative of the value at the terminal time).  ``extra`` holds
     additional interior-time value observations as (time level, data)
-    pairs; they are only meaningful together with kind "u0".
+    pairs; they require kind "u0".
     """
 
     kind: str
@@ -72,6 +78,8 @@ class InverseData:
     def __post_init__(self):
         if self.kind not in DATA_KINDS:
             raise ValueError(f"kind must be one of {DATA_KINDS}, got {self.kind!r}")
+        if self.extra and self.kind != INITIAL_VALUE:
+            raise ValueError(f"extra observations require kind {INITIAL_VALUE!r}, got kind {self.kind!r}")
         if not np.all(np.isfinite(self.g)):
             raise ValueError("measurement contains non-finite values")
         for _, g_extra in self.extra:
@@ -95,26 +103,57 @@ def policy_iteration(
     obstacle ``obstacle(k, ops, m)``, given the sweep's operator cache
     and density.
 
+    The policies are Anderson-mixed with history depth
+    :data:`mfg_inverse.anderson.DEPTH`: the next policy combines the last
+    sweeps' updates rather than taking the newest alone.  The returned
+    solution is the last sweep itself, unmixed: its u, its m and
+    q = gradient_field(u).  ``policy_gap_history`` holds the gap
+    |G(q_k) - q_k| of each mixed iterate q_k, where G is one sweep.
+
     Raises NonFiniteError on the first sweep whose density, obstacle or
     policy gap is not finite, and ConvergenceError when ``max_iter``
     sweeps do not bring the gap below ``tol``.
     """
+    return _policy_iteration(prob, obstacle, q0, tol, max_iter, anderson.DEPTH)
+
+
+def _policy_iteration(
+    prob: MFGProblem,
+    obstacle: Callable[[int, OperatorCache, np.ndarray], np.ndarray],
+    q0: np.ndarray | None,
+    tol: float,
+    max_iter: int,
+    depth: int,
+) -> MFGSolution:
+    """:func:`policy_iteration` with history depth ``depth``; depth 0 is
+    the plain iteration."""
+    grid = prob.grid
     q = zero_policy(prob) if q0 is None else np.asarray(q0, dtype=float).copy()
+    # Type-II mixing combines G values alone, and each G value is the
+    # gradient of a sweep's u, so each mixed policy is the gradient of a
+    # mix v of value fields, and the history is kept for v.  The zero
+    # policy is the gradient of v = 0; from any other q0 the first sweep
+    # is plain.  As |grad d|^2 = d . (-2 Lap d) on the one-sided slopes,
+    # mixing v in the metric -Lap mixes the policies in the gap's norm.
+    shape = (grid.time_steps + 1, grid.num_points)
+    v = np.zeros(shape) if q0 is None else None
+    mixer = anderson.Anderson(depth, shape, lambda d: -laplacian_apply(grid, d))
     gaps: list[float] = []
     for k in range(1, max_iter + 1):
-        ops = OperatorCache(prob.grid, prob.eps, q)
+        ops = OperatorCache(grid, prob.eps, q)
         m = solve_fp(prob, ops)
         require_finite("m", m, k, gaps)
         b = obstacle(k, ops, m)
         require_finite("b", b, k, gaps)
         u = solve_hjb_linear(prob, ops, m, b)
-        q_new = gradient_field(prob.grid, u)
-        gap = policy_gap(prob.grid, q_new, q)
+        q_new = gradient_field(grid, u)
+        gap = policy_gap(grid, q_new, q)
         gaps.append(gap)
         require_finite("the policy gap", gap, k, gaps)
-        q = q_new
         if gap < tol:
-            return MFGSolution(u, m, q, k, gaps)
+            return MFGSolution(u, m, q_new, k, gaps)
+        v = u if v is None else mixer.mix(v, u, gap)
+        q = q_new if v is u else gradient_field(grid, v)
     raise ConvergenceError(
         f"policy iteration did not converge in {max_iter} iterations"
         f" (last gap {gaps[-1]:.3e})",

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import sparse
+from . import anderson, sparse
 from .grid import Grid, eo_hamiltonian, gradient_field, integrate, policy_gap
 
 # Options of every level factorization.  The matrix is already in its
@@ -288,7 +288,10 @@ def solve_coupled_adjoint(
     sourced by div(m grad v); v runs backward with the HJB-type
     operator, advected by grad u and sourced by F'(m) w.  The sweeps
     alternate (w given v, then v given w, v seeded at zero) until the
-    combined L2 change of both fields drops below tol.
+    combined L2 change of both fields drops below tol.  The pairs (w, v)
+    are Anderson-mixed with history depth
+    :data:`mfg_inverse.anderson.DEPTH`, and the last pass is returned
+    unmixed.
 
     The time-level placements follow the exact adjoint of the discrete
     forward system: the w step n -> n+1 uses the policy at level n and
@@ -305,6 +308,7 @@ def solve_coupled_adjoint(
     # row n of v_source feeds the level-n step, whose solution is v at
     # level n + 1; the last step's right-hand side is the terminal datum
     v_source = np.zeros((grid.time_steps, grid.num_points))
+    mixer = anderson.Anderson(anderson.DEPTH, (2,) + w.shape)
     last_change = np.inf
     for _ in range(max_iter):
         # the sources of each half-sweep depend only on the other field
@@ -314,9 +318,9 @@ def solve_coupled_adjoint(
         shifted = ops.sweep_backward(v_term, v_source)
         v_new = np.concatenate((shifted[:1], shifted[:-1]))  # v^0 = v^1
         last_change = max(policy_gap(grid, w_new, w), policy_gap(grid, v_new, v))
-        w, v = w_new, v_new
         if last_change < tol:
-            return w, v
+            return w_new, v_new
+        w, v = mixer.mix(np.stack((w, v)), np.stack((w_new, v_new)), last_change)
     raise ConvergenceError(
         f"coupled adjoint did not converge in {max_iter} sweeps"
         f" (last change {last_change:.3e})",

@@ -197,7 +197,7 @@ def test_criterion_05_policy_iteration_outpaces_direct_ls(comparison_runs):
             INITIAL_VALUE,
             marks=pytest.mark.xfail(
                 reason="the cold-start direct run stops at its 100-iteration cap,"
-                " at optimality 1.176e-10 against 1e-10",
+                " at optimality 1.246e-10 against 1e-10",
                 strict=False,
             ),
         ),

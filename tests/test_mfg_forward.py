@@ -7,6 +7,7 @@ from mfg_inverse.grid import eo_hamiltonian, gradient_field, l2_norm, laplacian_
 from mfg_inverse.mfg_forward import (
     INITIAL_VALUE,
     TERMINAL_RATE,
+    InverseData,
     add_measurement_noise,
     measure,
     mfg_residual,
@@ -148,12 +149,17 @@ def test_data_validation_errors(preset_1d):
 
 
 def test_measurement_rejects_non_finite_values():
-    from mfg_inverse.mfg_forward import InverseData
-
     bad = np.ones(8)
     bad[3] = np.nan
     with pytest.raises(ValueError):
         InverseData(kind=INITIAL_VALUE, g=bad)
+
+
+def test_extra_observations_require_initial_value_data():
+    g = np.zeros(16)
+    with pytest.raises(ValueError, match="extra observations require kind 'u0', got kind 'utT'"):
+        InverseData(kind=TERMINAL_RATE, g=g, extra=((10, np.full(16, 1e3)),))
+    assert InverseData(kind=INITIAL_VALUE, g=g, extra=((10, g),)).extra[0][0] == 10
 
 
 @pytest.mark.parametrize(
