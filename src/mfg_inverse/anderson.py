@@ -33,25 +33,28 @@ class Anderson:
     the loop's gap |G(x) - x|, and returns the next iterate.  The history
     restarts, and the step is the plain G(x), whenever the gap rises.
     The least-squares norm is |r|^2 = r . metric(r) for a symmetric
-    positive semi-definite ``metric`` that maps a stack of fields to a
-    stack of fields; None means the Euclidean norm.  The history lives
-    in one block allocated with the state; with depth 0, ``mix`` returns
-    G(x) and nothing is allocated.
+    positive semi-definite ``metric`` that maps a field to a field; None
+    means the Euclidean norm.  Each mix applies the metric to f and to
+    the newest f difference only, and keeps the weighted differences.
+    The history lives in one block allocated with the state; with depth
+    0, ``mix`` returns G(x) and nothing is allocated.
     """
 
     def __init__(self, depth: int, shape: tuple[int, ...], metric=None):
         self.depth, self.metric = depth, metric
         self.size = self.slot = 0  # stored differences; the next row to write
         self.last_gap = None
-        # rows: f = G(x) - x, the last `depth` differences of f, G(x), those of G(x)
-        rows = 2 * depth + 2 if depth else 0
+        # rows: f = G(x) - x, the last `depth` differences of f, G(x), those
+        # of G(x), and under a metric the metric of each stored f difference
+        rows = (2 + (3 if metric else 2) * depth) if depth else 0
         self.block = np.empty((rows,) + tuple(shape))
 
     def mix(self, x: np.ndarray, gx: np.ndarray, gap: float) -> np.ndarray:
         if self.depth == 0:
             return gx
         m = self.depth
-        f, df, g, dg = self.block[0], self.block[1 : m + 1], self.block[m + 1], self.block[m + 2 :]
+        f, df, g, dg = self.block[0], self.block[1 : m + 1], self.block[m + 1], self.block[m + 2 : 2 * m + 2]
+        weighted_df = df if self.metric is None else self.block[2 * m + 2 :]
         if self.last_gap is None or gap > self.last_gap:
             self.size = self.slot = 0
             np.subtract(gx, x, out=f)
@@ -60,6 +63,8 @@ class Anderson:
             np.subtract(gx, x, out=row)
             row -= f  # f_k - f_{k-1}
             f += row
+            if self.metric is not None:
+                weighted_df[self.slot] = self.metric(row)
             np.subtract(gx, g, out=dg[self.slot])
             self.slot = (self.slot + 1) % m
             self.size = min(self.size + 1, m)
@@ -67,9 +72,8 @@ class Anderson:
         self.last_gap = gap
         if self.size == 0:
             return gx
-        rows = self.block[: self.size + 1]  # f and the stored f differences
-        weighted = rows if self.metric is None else self.metric(rows)
-        rows, weighted = rows.reshape(self.size + 1, -1), weighted.reshape(self.size + 1, -1)
-        gram = rows[1:] @ weighted[1:].T
-        gamma = np.linalg.lstsq(gram, rows[1:] @ weighted[0], rcond=RCOND)[0]
+        weighted_f = f if self.metric is None else self.metric(f)
+        rows = df[: self.size].reshape(self.size, -1)
+        gram = rows @ weighted_df[: self.size].reshape(self.size, -1).T
+        gamma = np.linalg.lstsq(gram, rows @ weighted_f.reshape(-1), rcond=RCOND)[0]
         return gx - np.tensordot(gamma, dg[: self.size], axes=1)

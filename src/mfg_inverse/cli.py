@@ -347,7 +347,7 @@ def run_gradcheck(config: ExperimentConfig) -> dict:
 
     report = {}
     if config.data_kind == "u0":
-        _, grad = step2_gradient_u0(prob, ops, m, b_point, data, gamma)
+        _, grad, _ = step2_gradient_u0(prob, ops, m, b_point, data, gamma)
         report["step2_u0"] = fd_check(
             lambda b: step2_gradient_u0(prob, ops, m, b, data, gamma)[0], grad, 1e-4
         )

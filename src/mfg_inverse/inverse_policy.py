@@ -7,9 +7,10 @@ that the value function becomes consistent with it:
     (i)   m  <- linear Fokker-Planck solve with the current policy
     (ii)  b  <- closed-form update (terminal rate data) or a linear
                 least-squares solve (initial value data), then
-          u  <- linear HJB solve with the new b
-    (iii) q  <- one-sided gradients of u, Anderson-mixed for terminal
-                rate data
+          u  <- linear HJB solve with the new b; for initial value data
+                the least-squares solve's last evaluation already holds it
+    (iii) q  <- one-sided gradients of u, Anderson-mixed from the first
+                sweep whose step (ii) tolerance is at its floor on
 
 For terminal rate data the inversion is explicit.  For initial value
 data step (ii) minimizes
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import anderson, optim
+from . import optim
 from .grid import gradient_field, l2_norm, laplacian_apply
 from .mfg_forward import TERMINAL_RATE, InverseData, _policy_iteration, measure
 from .pde import MFGProblem, OperatorCache, solve_adjoint_w, solve_hjb_linear
@@ -112,9 +113,10 @@ def step2_gradient_u0(
     b: np.ndarray,
     data: InverseData,
     gamma: float,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Objective and L2 gradient of the step (ii) least-squares problem
-    for the policy of ``ops``.
+    for the policy of ``ops``, and the value function
+    ``solve_hjb_linear(prob, ops, m, b)`` they were computed from.
 
     Each observation of ``data``, the initial value and any further
     observation times, contributes the adjoint sweep of its residual,
@@ -129,7 +131,7 @@ def step2_gradient_u0(
         value += 0.5 * l2_norm(grid, residual) ** 2
         w = solve_adjoint_w(ops, residual, start_level=level)
         gradient = gradient + grid.dt * w[level + 1 :].sum(axis=0)
-    return value, gradient
+    return value, gradient, u
 
 
 def invert_step_u0(
@@ -142,18 +144,24 @@ def invert_step_u0(
     opt_tol: float = 1e-10,
     max_opt_iter: int = 500,
     curvature: object | None = None,
-) -> tuple[np.ndarray, optim.OptimReport]:
+) -> tuple[np.ndarray, optim.OptimReport, np.ndarray | None]:
     """Solve step (ii) for initial-value data and the policy of ``ops``
     with a warm-started BFGS.
 
-    The quadratic's Hessian barely changes between outer iterations, so
-    the caller may feed back ``report.curvature`` to warm-start the
+    Returns the minimizer b, the optimizer's report, and the value
+    function of b, ``solve_hjb_linear(prob, ops, m, b)`` bit for bit,
+    when the optimizer's last evaluation was at b (else None).  The
+    quadratic's Hessian barely changes between outer iterations, so the
+    caller may feed back ``report.curvature`` to warm-start the
     quasi-Newton metric along with the iterate.
     """
     scale = prob.grid.cell_volume  # Euclidean gradient of the quadrature-weighted objective
+    last = None  # (b, u) of the latest evaluation
 
     def fun_and_grad(bvec):
-        value, gradient = step2_gradient_u0(prob, ops, m, bvec, data, gamma)
+        nonlocal last
+        value, gradient, u = step2_gradient_u0(prob, ops, m, bvec, data, gamma)
+        last = bvec, u
         return value, gradient * scale
 
     report = optim.minimize(
@@ -176,7 +184,16 @@ def invert_step_u0(
                 f"step (ii) optimizer failed: {report.message},"
                 f" optimality {report.first_order_optimality:.3e}"
             )
-    return report.minimizer, report
+    u = last[1] if np.array_equal(last[0], report.minimizer) else None
+    return report.minimizer, report, u
+
+
+def step_tolerance(k: int, opt_tol: float, schedule: str) -> float:
+    """Step (ii) tolerance of sweep k: ``opt_tol`` under "fixed"; under
+    "tightening", 1e-6 halved every sweep down to the floor ``opt_tol``."""
+    if schedule == "tightening":
+        return max(opt_tol, 1e-6 * 0.5 ** (k - 1))
+    return opt_tol
 
 
 def policy_iteration_inverse(
@@ -195,8 +212,12 @@ def policy_iteration_inverse(
     gamma defaults to 0 for noiseless data and 1e-6 otherwise.  With
     ``opt_tol_schedule="tightening"`` the step (ii) tolerance starts at
     1e-6 and halves each outer iteration until it reaches ``opt_tol``;
-    the default keeps it fixed at ``opt_tol``.  Terminal rate data
-    run the Anderson-mixed loop; initial value data run it plain.
+    the default keeps it fixed at ``opt_tol`` (see :func:`step_tolerance`).
+    A sweep map that changes with the sweep would upset the Anderson
+    mixing, so initial value data run the loop plain until the step
+    (ii) tolerance reaches its floor and mixed from that sweep on: from
+    sweep 1 under "fixed", and from sweep 15 under "tightening" with
+    ``opt_tol`` 1e-10.  Terminal rate data are mixed from sweep 1.
     Stops and raises as :func:`~mfg_inverse.mfg_forward.policy_iteration`
     does.
     """
@@ -212,25 +233,25 @@ def policy_iteration_inverse(
 
     def obstacle(k, ops, m):
         nonlocal b, curvature
+        u = None
         if data.kind == TERMINAL_RATE:
             b = closed_form_b(prob, m, data.g)
         else:
-            step_tol = opt_tol
-            if opt_tol_schedule == "tightening":
-                step_tol = max(opt_tol, 1e-6 * 0.5 ** (k - 1))
-            b, report = invert_step_u0(
-                prob, ops, m, data, gamma, b, step_tol, curvature=curvature
+            b, report, u = invert_step_u0(
+                prob, ops, m, data, gamma, b, step_tolerance(k, opt_tol, opt_tol_schedule),
+                curvature=curvature,
             )
             curvature = report.curvature
             opt_iters.append(report.iterations)
         if b_true is not None:
             b_errors.append(l2_norm(grid, b - b_true))
-        return b
+        return b, u
 
-    # The u0 sweep map changes with k (its step (ii) tolerance tightens
-    # and its BFGS curvature carries over), so its sweeps are not mixed.
-    depth = anderson.DEPTH if data.kind == TERMINAL_RATE else 0
-    sol = _policy_iteration(prob, obstacle, None, tol, max_iter, depth)
+    first_mixed = 1
+    if data.kind != TERMINAL_RATE:
+        while first_mixed < max_iter and step_tolerance(first_mixed, opt_tol, opt_tol_schedule) > opt_tol:
+            first_mixed += 1
+    sol = _policy_iteration(prob, obstacle, None, tol, max_iter, first_mixed)
     # iterates are indexed from zero; sweep k produced iterate k - 1
     return InverseResult(
         b, sol.u, sol.m, sol.q, sol.iterations - 1, sol.policy_gap_history, b_errors,

@@ -5,7 +5,8 @@ One sweep of :func:`policy_iteration`, starting from a policy q:
 
     (i)   m  <- linear Fokker-Planck solve with q
     (ii)  b  <- the sweep's obstacle, from q and m
-          u  <- linear HJB solve with q, m and b
+          u  <- linear HJB solve with q, m and b, unless the obstacle
+                step already solved it
     (iii) q  <- one-sided gradients of u, Anderson-mixed with the
                 updates of the last few sweeps
 
@@ -43,6 +44,9 @@ from .pde import (
 INITIAL_VALUE = "u0"
 TERMINAL_RATE = "utT"
 DATA_KINDS = (INITIAL_VALUE, TERMINAL_RATE)
+
+# obstacle(k, ops, m) -> (b, u or None); see policy_iteration
+Obstacle = Callable[[int, OperatorCache, np.ndarray], tuple[np.ndarray, np.ndarray | None]]
 
 
 @dataclass
@@ -94,14 +98,16 @@ def zero_policy(prob: MFGProblem) -> np.ndarray:
 
 def policy_iteration(
     prob: MFGProblem,
-    obstacle: Callable[[int, OperatorCache, np.ndarray], np.ndarray],
+    obstacle: Obstacle,
     q0: np.ndarray | None = None,
     tol: float = 1e-9,
     max_iter: int = 200,
 ) -> MFGSolution:
     """Policy iteration whose sweep k solves the HJB step with the
-    obstacle ``obstacle(k, ops, m)``, given the sweep's operator cache
-    and density.
+    obstacle b of ``obstacle(k, ops, m) -> (b, u)``, given the sweep's
+    operator cache and density.  A u that is not None must be
+    ``solve_hjb_linear(prob, ops, m, b)`` bit for bit, and the sweep
+    uses it in place of solving again.
 
     The policies are Anderson-mixed with history depth
     :data:`mfg_inverse.anderson.DEPTH`: the next policy combines the last
@@ -114,19 +120,19 @@ def policy_iteration(
     policy gap is not finite, and ConvergenceError when ``max_iter``
     sweeps do not bring the gap below ``tol``.
     """
-    return _policy_iteration(prob, obstacle, q0, tol, max_iter, anderson.DEPTH)
+    return _policy_iteration(prob, obstacle, q0, tol, max_iter, 1)
 
 
 def _policy_iteration(
     prob: MFGProblem,
-    obstacle: Callable[[int, OperatorCache, np.ndarray], np.ndarray],
+    obstacle: Obstacle,
     q0: np.ndarray | None,
     tol: float,
     max_iter: int,
-    depth: int,
+    first_mixed: int,
 ) -> MFGSolution:
-    """:func:`policy_iteration` with history depth ``depth``; depth 0 is
-    the plain iteration."""
+    """:func:`policy_iteration` whose sweeps before ``first_mixed`` are
+    plain; the mixing history starts at sweep ``first_mixed``."""
     grid = prob.grid
     q = zero_policy(prob) if q0 is None else np.asarray(q0, dtype=float).copy()
     # Type-II mixing combines G values alone, and each G value is the
@@ -137,22 +143,23 @@ def _policy_iteration(
     # mixing v in the metric -Lap mixes the policies in the gap's norm.
     shape = (grid.time_steps + 1, grid.num_points)
     v = np.zeros(shape) if q0 is None else None
-    mixer = anderson.Anderson(depth, shape, lambda d: -laplacian_apply(grid, d))
+    mixer = anderson.Anderson(anderson.DEPTH, shape, lambda d: -laplacian_apply(grid, d))
     gaps: list[float] = []
     for k in range(1, max_iter + 1):
         ops = OperatorCache(grid, prob.eps, q)
         m = solve_fp(prob, ops)
         require_finite("m", m, k, gaps)
-        b = obstacle(k, ops, m)
+        b, u = obstacle(k, ops, m)
         require_finite("b", b, k, gaps)
-        u = solve_hjb_linear(prob, ops, m, b)
+        if u is None:
+            u = solve_hjb_linear(prob, ops, m, b)
         q_new = gradient_field(grid, u)
         gap = policy_gap(grid, q_new, q)
         gaps.append(gap)
         require_finite("the policy gap", gap, k, gaps)
         if gap < tol:
             return MFGSolution(u, m, q_new, k, gaps)
-        v = u if v is None else mixer.mix(v, u, gap)
+        v = mixer.mix(v, u, gap) if k >= first_mixed and v is not None else u
         q = q_new if v is u else gradient_field(grid, v)
     raise ConvergenceError(
         f"policy iteration did not converge in {max_iter} iterations"
@@ -169,7 +176,7 @@ def policy_iteration_forward(
     max_iter: int = 200,
 ) -> MFGSolution:
     """Solve the coupled MFG system with known obstacle by policy iteration."""
-    return policy_iteration(prob, lambda k, ops, m: b, q0, tol, max_iter)
+    return policy_iteration(prob, lambda k, ops, m: (b, None), q0, tol, max_iter)
 
 
 def measure(

@@ -335,7 +335,7 @@ def test_criterion_07_property_suite(rng):
     b_star = np.linalg.solve(normal, columns.T @ (g - u0_zero))
     # opt_tol 1e-12 is below what the line search resolves here
     with pytest.warns(RuntimeWarning, match="inversion step stalled"):
-        b_opt, _ = invert_step_u0(
+        b_opt, _, _ = invert_step_u0(
             tiny, ops8, m8, InverseData(kind=INITIAL_VALUE, g=g), gamma, np.zeros(n),
             opt_tol=1e-12, max_opt_iter=1000,
         )

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
-from mfg_inverse import anderson, generate_data, pde, policy_iteration_forward
+from mfg_inverse import anderson, generate_data, inverse_policy, mfg_forward, pde, policy_iteration_forward
 from mfg_inverse.anderson import Anderson
-from mfg_inverse.grid import gradient_field, laplacian_apply, make_grid
-from mfg_inverse.inverse_policy import policy_iteration_inverse
+from mfg_inverse.grid import gradient_field, l2_norm, laplacian_apply, make_grid
+from mfg_inverse.inverse_policy import (
+    OPT_TOL_SCHEDULES,
+    invert_step_u0,
+    policy_iteration_inverse,
+    step_tolerance,
+)
 from mfg_inverse.mfg_forward import INITIAL_VALUE, TERMINAL_RATE
 from mfg_inverse.pde import solve_coupled_adjoint
 
@@ -116,6 +121,54 @@ def test_the_metric_mixes_as_if_the_mapped_fields_were_mixed():
         np.testing.assert_allclose(gradient_field(grid, v), mixed_slopes, rtol=0, atol=1e-11)
 
 
+class ReferenceAnderson:
+    """The mixer with the metric applied to the whole history on every mix."""
+
+    def __init__(self, depth, metric=None):
+        self.depth, self.metric = depth, metric
+        self.f = self.g = self.last_gap = None
+        self.df, self.dg = [None] * depth, [None] * depth  # ring buffers
+        self.size = self.slot = 0
+
+    def mix(self, x, gx, gap):
+        if self.last_gap is None or gap > self.last_gap:
+            self.size = self.slot = 0
+            self.f = gx - x
+        else:
+            row = (gx - x) - self.f
+            self.f = self.f + row
+            self.df[self.slot], self.dg[self.slot] = row, gx - self.g
+            self.slot = (self.slot + 1) % self.depth
+            self.size = min(self.size + 1, self.depth)
+        self.g, self.last_gap = gx.copy(), gap
+        if self.size == 0:
+            return gx
+        rows = np.stack([self.f, *self.df[: self.size]])
+        weighted = rows if self.metric is None else self.metric(rows)
+        rows, weighted = rows.reshape(self.size + 1, -1), weighted.reshape(self.size + 1, -1)
+        gram = rows[1:] @ weighted[1:].T
+        gamma = np.linalg.lstsq(gram, rows[1:] @ weighted[0], rcond=anderson.RCOND)[0]
+        return gx - np.tensordot(gamma, np.stack(self.dg[: self.size]), axes=1)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_mixer_matches_the_reference_bit_for_bit(weighted):
+    grid = make_grid(2, 6, 4, 1.0)
+    shape = (grid.time_steps + 1, grid.num_points)
+    metric = (lambda d: -laplacian_apply(grid, d)) if weighted else None
+    mixer, reference = Anderson(3, shape, metric), ReferenceAnderson(3, metric)
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal(shape)
+    # five stored differences wrap the depth-3 ring; the gap rises once (restart)
+    gaps = (1.0, 0.8, 0.6, 0.5, 0.4, 0.3, 0.35, 0.3, 0.2, 0.1, 0.05, 0.02)
+    for k, gap in enumerate(gaps):
+        gx = 0.5 * x + rng.standard_normal(shape) * 0.9**k
+        mixed = mixer.mix(x, gx, gap)
+        assert np.array_equal(mixed, reference.mix(x, gx, gap)), k
+        x = mixed
+    assert mixer.size == 3 and mixer.slot == 2
+
+
 def plain(monkeypatch):
     monkeypatch.setattr(anderson, "DEPTH", 0)
 
@@ -163,16 +216,62 @@ def test_mixed_rate_inverse_takes_fewer_sweeps(inverse_problem, monkeypatch):
     assert np.max(np.abs(mixed.b - reference.b)) <= 1e-8
 
 
-def test_value_inverse_is_the_plain_loop_bit_for_bit(inverse_problem, monkeypatch):
+@pytest.fixture(scope="module")
+def value_runs(inverse_problem):
+    """Mixed and plain u0 inversions under each step (ii) tolerance schedule."""
     prob, b_true = inverse_problem
     data = generate_data(prob, b_true, INITIAL_VALUE, fwd_tol=1e-11)
-    result = policy_iteration_inverse(prob, data, tol=1e-8, opt_tol=1e-11)
-    plain(monkeypatch)
-    reference = policy_iteration_inverse(prob, data, tol=1e-8, opt_tol=1e-11)
-    for name in ("b", "u", "m", "q"):
-        assert np.array_equal(getattr(result, name), getattr(reference, name)), name
-    assert result.policy_gap_history == reference.policy_gap_history
-    assert result.optimizer_iterations == reference.optimizer_iterations
+    runs = {}
+    for schedule in OPT_TOL_SCHEDULES:
+        for depth in (anderson.DEPTH, 0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(anderson, "DEPTH", depth)
+                runs[schedule, depth > 0] = policy_iteration_inverse(
+                    prob, data, tol=1e-8, opt_tol=1e-11, opt_tol_schedule=schedule
+                )
+    return runs
+
+
+def test_value_inverse_is_plain_until_its_step_tolerance_floor(value_runs):
+    mixed, reference = value_runs["tightening", True], value_runs["tightening", False]
+    # the step (ii) tolerance reaches its floor 1e-11 at sweep 18
+    assert step_tolerance(17, 1e-11, "tightening") > step_tolerance(18, 1e-11, "tightening") == 1e-11
+    assert mixed.policy_gap_history[:17] == reference.policy_gap_history[:17]
+    assert mixed.optimizer_iterations[:17] == reference.optimizer_iterations[:17]
+
+
+@pytest.mark.parametrize("schedule", OPT_TOL_SCHEDULES)
+def test_mixed_value_inverse_takes_fewer_sweeps(inverse_problem, value_runs, schedule):
+    prob, b_true = inverse_problem
+    mixed, reference = value_runs[schedule, True], value_runs[schedule, False]
+    assert mixed.iterations < reference.iterations
+    rel, rel_plain = (
+        l2_norm(prob.grid, r.b - b_true) / l2_norm(prob.grid, b_true) for r in (mixed, reference)
+    )
+    # test_initial_value_reconstruction's bound; under "tightening" both loops
+    # stop on the step (ii) plateau near 6.4e-6 instead (criterion 3b)
+    assert rel <= (1e-7 if schedule == "fixed" else 1.01 * rel_plain)
+
+
+def test_value_inverse_reuses_the_state_of_its_last_step2_evaluation(inverse_problem, monkeypatch):
+    prob, b_true = inverse_problem
+    data = generate_data(prob, b_true, INITIAL_VALUE, fwd_tol=1e-11)
+    states = []
+
+    def checked(p, ops, m, *args, **kwargs):
+        b, report, u = invert_step_u0(p, ops, m, *args, **kwargs)
+        assert u is not None and np.array_equal(u, pde.solve_hjb_linear(p, ops, m, b))
+        states.append(u)
+        return b, report, u
+
+    def unused(*args):
+        raise AssertionError("the policy loop solved the HJB step again")
+
+    monkeypatch.setattr(inverse_policy, "invert_step_u0", checked)
+    monkeypatch.setattr(mfg_forward, "solve_hjb_linear", unused)
+    result = policy_iteration_inverse(prob, data, tol=1e-8, opt_tol=1e-11, opt_tol_schedule="tightening")
+    assert len(states) == result.iterations + 1
+    assert result.u is states[-1]
 
 
 def test_mixed_coupled_adjoint_agrees_with_plain_in_fewer_passes(monkeypatch):

@@ -98,7 +98,7 @@ def test_step2_objective_vanishes_on_consistent_data(quadratic_setup):
     x = prob.grid.coordinates()[:, 0]
     b = 0.3 * np.sin(2 * np.pi * x)
     data = InverseData(kind=INITIAL_VALUE, g=solve_hjb_linear(prob, ops, m, b)[0])
-    value, gradient = step2_gradient_u0(prob, ops, m, b, data, 0.0)
+    value, gradient, _ = step2_gradient_u0(prob, ops, m, b, data, 0.0)
     assert value <= 1e-18
     assert np.max(np.abs(gradient)) <= 1e-12
 
@@ -135,12 +135,12 @@ def check_step2_gradient(prob, ops, m, rng, extra_levels):
     target = InverseData(kind=INITIAL_VALUE, g=g, extra=extra, noise_level=0.0)
     b0 = rng.uniform(-0.5, 0.5, grid.num_points)
     gamma = 1e-4
-    _, gradient = step2_gradient_u0(prob, ops, m, b0, target, gamma)
+    _, gradient, _ = step2_gradient_u0(prob, ops, m, b0, target, gamma)
     h = 1e-5
     for _ in range(10):
         d = rng.uniform(-1.0, 1.0, grid.num_points)
-        up, _ = step2_gradient_u0(prob, ops, m, b0 + h * d, target, gamma)
-        down, _ = step2_gradient_u0(prob, ops, m, b0 - h * d, target, gamma)
+        up, _, _ = step2_gradient_u0(prob, ops, m, b0 + h * d, target, gamma)
+        down, _, _ = step2_gradient_u0(prob, ops, m, b0 - h * d, target, gamma)
         fd = (up - down) / (2 * h)
         analytic = grid.cell_volume * np.dot(gradient, d)
         assert abs(fd - analytic) <= 1e-6 * max(abs(fd), 1.0)
@@ -167,7 +167,7 @@ def test_invert_step_matches_dense_normal_equations(quadratic_setup, rng):
     b_star = np.linalg.solve(normal, columns.T @ (g - u0_zero))
     # opt_tol 1e-12 is below what the line search resolves here
     with pytest.warns(RuntimeWarning, match="inversion step stalled"):
-        b_opt, _ = invert_step_u0(
+        b_opt, _, _ = invert_step_u0(
             prob, ops, m, InverseData(kind=INITIAL_VALUE, g=g), gamma, np.zeros(n),
             opt_tol=1e-12, max_opt_iter=1000,
         )
@@ -180,11 +180,11 @@ def test_invert_step_warm_restart_is_immediate(quadratic_setup, rng):
     g = InverseData(kind=INITIAL_VALUE, g=rng.uniform(-1.0, 1.0, n))
     # both solves stall at opt_tol 1e-12, the second one without a step
     with pytest.warns(RuntimeWarning, match="inversion step stalled"):
-        b_opt, report = invert_step_u0(
+        b_opt, report, _ = invert_step_u0(
             prob, ops, m, g, 1e-4, np.zeros(n), opt_tol=1e-12, max_opt_iter=1000
         )
     with pytest.warns(RuntimeWarning, match="inversion step stalled"):
-        again, rerun = invert_step_u0(
+        again, rerun, _ = invert_step_u0(
             prob, ops, m, g, 1e-4, b_opt, opt_tol=1e-12, max_opt_iter=1000,
             curvature=report.curvature,
         )
