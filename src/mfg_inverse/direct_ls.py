@@ -108,35 +108,33 @@ def direct_ls_solve(
     By default each evaluation warm-starts the forward solve from the
     previously converged policy; ``cold_start=True`` re-solves from the
     zero policy every time, which is the faithful costing of the
-    baseline.  In the returned result ``policy_gap_history`` holds the
-    sup-norm gradient at each accepted iterate (there is no policy gap
-    for this method) and ``optimizer_iterations`` is empty.  A run that
-    stops without meeting ``opt_tol`` warns with a RuntimeWarning and
-    returns its last iterate.
+    baseline.  The returned u, m and q are the forward solution that the
+    optimizer evaluated at the returned b.  In the returned result
+    ``policy_gap_history`` holds the sup-norm gradient at each accepted
+    iterate (there is no policy gap for this method) and
+    ``optimizer_iterations`` is empty.  A run that stops without meeting
+    ``opt_tol`` warns with a RuntimeWarning and returns its last iterate.
     """
     grid = prob.grid
     gamma = tikhonov_weight(gamma, data.noise_level)
     start = time.perf_counter()
-    state = {"q": None, "b": None, "sol": None, "opt": None}
+    q_prev = None  # the last evaluation's policy, for warm starts
 
     def fun_and_grad(bvec):
-        q_init = None if cold_start else state["q"]
-        value, sol = objective_direct(prob, bvec, data, gamma, fwd_tol, q_init)
+        nonlocal q_prev
+        value, sol = objective_direct(prob, bvec, data, gamma, fwd_tol, q_prev)
         gradient = gradient_direct(prob, bvec, data, sol, gamma)
         if not cold_start:
-            state["q"] = sol.q
-        state["b"] = np.array(bvec)
-        state["sol"] = sol
-        state["opt"] = float(np.abs(gradient * grid.cell_volume).max())
-        return value, gradient * grid.cell_volume
+            q_prev = sol.q
+        return value, gradient * grid.cell_volume, sol
 
     b_errors: list[float] = []
     opt_history: list[float] = []
 
-    def record(bvec):
+    def record(bvec, opt):
         if b_true is not None:
             b_errors.append(l2_norm(grid, bvec - b_true))
-        opt_history.append(state["opt"])
+        opt_history.append(opt)
 
     report = optim.minimize(
         fun_and_grad, np.zeros(grid.num_points), opt_tol, max_iter, callback=record
@@ -148,12 +146,7 @@ def direct_ls_solve(
             RuntimeWarning,
             stacklevel=2,
         )
-    # final state: re-solve at the minimizer unless it is already current
-    sol = state["sol"]
-    if not np.array_equal(state["b"], report.minimizer):
-        _, sol = objective_direct(
-            prob, report.minimizer, data, gamma, fwd_tol, None if cold_start else state["q"]
-        )
+    (sol,) = report.state  # the forward solution at the minimizer
     return InverseResult(
         report.minimizer,
         sol.u,

@@ -8,7 +8,7 @@ that the value function becomes consistent with it:
     (ii)  b  <- closed-form update (terminal rate data) or a linear
                 least-squares solve (initial value data), then
           u  <- linear HJB solve with the new b; for initial value data
-                the least-squares solve's last evaluation already holds it
+                the least-squares solve evaluated it at its minimizer
     (iii) q  <- one-sided gradients of u, Anderson-mixed from the first
                 sweep whose step (ii) tolerance is at its floor on
 
@@ -35,7 +35,7 @@ import numpy as np
 
 from . import optim
 from .grid import gradient_field, l2_norm, laplacian_apply
-from .mfg_forward import TERMINAL_RATE, InverseData, _policy_iteration, measure
+from .mfg_forward import TERMINAL_RATE, InverseData, measure, policy_iteration
 from .pde import MFGProblem, OperatorCache, solve_adjoint_w, solve_hjb_linear
 
 # A line-search stall this far above opt_tol is treated as failure.
@@ -144,25 +144,22 @@ def invert_step_u0(
     opt_tol: float = 1e-10,
     max_opt_iter: int = 500,
     curvature: object | None = None,
-) -> tuple[np.ndarray, optim.OptimReport, np.ndarray | None]:
+) -> tuple[np.ndarray, optim.OptimReport, np.ndarray]:
     """Solve step (ii) for initial-value data and the policy of ``ops``
     with a warm-started BFGS.
 
     Returns the minimizer b, the optimizer's report, and the value
-    function of b, ``solve_hjb_linear(prob, ops, m, b)`` bit for bit,
-    when the optimizer's last evaluation was at b (else None).  The
-    quadratic's Hessian barely changes between outer iterations, so the
-    caller may feed back ``report.curvature`` to warm-start the
-    quasi-Newton metric along with the iterate.
+    function of b, ``solve_hjb_linear(prob, ops, m, b)`` bit for bit, as
+    the optimizer evaluated it there.  The quadratic's Hessian barely
+    changes between outer iterations, so the caller may feed back
+    ``report.curvature`` to warm-start the quasi-Newton metric along
+    with the iterate.
     """
     scale = prob.grid.cell_volume  # Euclidean gradient of the quadrature-weighted objective
-    last = None  # (b, u) of the latest evaluation
 
     def fun_and_grad(bvec):
-        nonlocal last
         value, gradient, u = step2_gradient_u0(prob, ops, m, bvec, data, gamma)
-        last = bvec, u
-        return value, gradient * scale
+        return value, gradient * scale, u
 
     report = optim.minimize(
         fun_and_grad, np.asarray(b_init, dtype=float), opt_tol, max_opt_iter,
@@ -170,7 +167,7 @@ def invert_step_u0(
     )
     if not report.converged:
         if (
-            report.message.startswith("line search")
+            report.iterations < max_opt_iter
             and report.first_order_optimality <= STALL_SLACK * opt_tol
         ):
             warnings.warn(
@@ -184,7 +181,7 @@ def invert_step_u0(
                 f"step (ii) optimizer failed: {report.message},"
                 f" optimality {report.first_order_optimality:.3e}"
             )
-    u = last[1] if np.array_equal(last[0], report.minimizer) else None
+    (u,) = report.state
     return report.minimizer, report, u
 
 
@@ -251,7 +248,7 @@ def policy_iteration_inverse(
     if data.kind != TERMINAL_RATE:
         while first_mixed < max_iter and step_tolerance(first_mixed, opt_tol, opt_tol_schedule) > opt_tol:
             first_mixed += 1
-    sol = _policy_iteration(prob, obstacle, None, tol, max_iter, first_mixed)
+    sol = policy_iteration(prob, obstacle, None, tol, max_iter, first_mixed)
     # iterates are indexed from zero; sweep k produced iterate k - 1
     return InverseResult(
         b, sol.u, sol.m, sol.q, sol.iterations - 1, sol.policy_gap_history, b_errors,

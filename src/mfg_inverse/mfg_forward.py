@@ -102,6 +102,7 @@ def policy_iteration(
     q0: np.ndarray | None = None,
     tol: float = 1e-9,
     max_iter: int = 200,
+    first_mixed: int = 1,
 ) -> MFGSolution:
     """Policy iteration whose sweep k solves the HJB step with the
     obstacle b of ``obstacle(k, ops, m) -> (b, u)``, given the sweep's
@@ -111,28 +112,20 @@ def policy_iteration(
 
     The policies are Anderson-mixed with history depth
     :data:`mfg_inverse.anderson.DEPTH`: the next policy combines the last
-    sweeps' updates rather than taking the newest alone.  The returned
-    solution is the last sweep itself, unmixed: its u, its m and
-    q = gradient_field(u).  ``policy_gap_history`` holds the gap
-    |G(q_k) - q_k| of each mixed iterate q_k, where G is one sweep.
+    sweeps' updates rather than taking the newest alone.  Sweeps before
+    ``first_mixed`` are plain, and the mixing history starts at sweep
+    ``first_mixed``.  The returned solution is the last sweep itself,
+    unmixed: its u, its m and q = gradient_field(u).
+    ``policy_gap_history`` holds the gap |G(q_k) - q_k| of each mixed
+    iterate q_k, where G is one sweep.
 
-    Raises NonFiniteError on the first sweep whose density, obstacle or
-    policy gap is not finite, and ConvergenceError when ``max_iter``
-    sweeps do not bring the gap below ``tol``.
+    Raises ValueError when ``max_iter`` is below 1, NonFiniteError on
+    the first sweep whose density, obstacle or policy gap is not finite,
+    and ConvergenceError when ``max_iter`` sweeps do not bring the gap
+    below ``tol``.
     """
-    return _policy_iteration(prob, obstacle, q0, tol, max_iter, 1)
-
-
-def _policy_iteration(
-    prob: MFGProblem,
-    obstacle: Obstacle,
-    q0: np.ndarray | None,
-    tol: float,
-    max_iter: int,
-    first_mixed: int,
-) -> MFGSolution:
-    """:func:`policy_iteration` whose sweeps before ``first_mixed`` are
-    plain; the mixing history starts at sweep ``first_mixed``."""
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     grid = prob.grid
     q = zero_policy(prob) if q0 is None else np.asarray(q0, dtype=float).copy()
     # Type-II mixing combines G values alone, and each G value is the

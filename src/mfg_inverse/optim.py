@@ -29,6 +29,7 @@ class OptimReport:
     converged: bool
     message: str
     curvature: object | None = None
+    state: tuple = ()
 
 
 class _CountedFun:
@@ -38,8 +39,8 @@ class _CountedFun:
 
     def __call__(self, x):
         self.evals += 1
-        f, g = self.fun(x)
-        return float(f), np.asarray(g, dtype=float)
+        f, g, *state = self.fun(x)
+        return float(f), np.asarray(g, dtype=float), tuple(state)
 
 
 def _zoom(fun, x, p, alpha_lo, phi_lo, dphi_lo, alpha_hi, phi_hi, dphi_hi, phi0, dphi0):
@@ -58,13 +59,13 @@ def _zoom(fun, x, p, alpha_lo, phi_lo, dphi_lo, alpha_hi, phi_hi, dphi_hi, phi0,
             alpha = 0.5 * (alpha_lo + alpha_hi)
         if hi - lo < 1e-16 * max(1.0, abs(alpha_lo)):
             return None
-        phi, g = fun(x + alpha * p)
+        phi, g, state = fun(x + alpha * p)
         dphi = float(g @ p)
         if phi > phi0 + WOLFE_C1 * alpha * dphi0 or phi >= phi_lo:
             alpha_hi, phi_hi, dphi_hi = alpha, phi, dphi
         else:
             if abs(dphi) <= -WOLFE_C2 * dphi0:
-                return alpha, phi, g
+                return alpha, phi, g, state
             if dphi * (alpha_hi - alpha_lo) >= 0:
                 alpha_hi, phi_hi, dphi_hi = alpha_lo, phi_lo, dphi_lo
             alpha_lo, phi_lo, dphi_lo = alpha, phi, dphi
@@ -79,12 +80,12 @@ def _line_search(fun, x, p, phi0, g0, max_expansions=30):
     alpha_prev, phi_prev, dphi_prev = 0.0, phi0, dphi0
     alpha = 1.0
     for i in range(max_expansions):
-        phi, g = fun(x + alpha * p)
+        phi, g, state = fun(x + alpha * p)
         dphi = float(g @ p)
         if phi > phi0 + WOLFE_C1 * alpha * dphi0 or (i > 0 and phi >= phi_prev):
             return _zoom(fun, x, p, alpha_prev, phi_prev, dphi_prev, alpha, phi, dphi, phi0, dphi0)
         if abs(dphi) <= -WOLFE_C2 * dphi0:
-            return alpha, phi, g
+            return alpha, phi, g, state
         if dphi >= 0:
             return _zoom(fun, x, p, alpha, phi, dphi, alpha_prev, phi_prev, dphi_prev, phi0, dphi0)
         alpha_prev, phi_prev, dphi_prev = alpha, phi, dphi
@@ -119,14 +120,21 @@ def _compatible(curvature, n):
 
 
 def minimize(
-    fun_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    fun_and_grad: Callable[[np.ndarray], tuple],
     x0: np.ndarray,
     opt_tol: float = 1e-10,
     max_iter: int = 500,
-    callback: Callable[[np.ndarray], None] | None = None,
+    callback: Callable[[np.ndarray, float], None] | None = None,
     curvature: object | None = None,
 ) -> OptimReport:
-    """Minimize a smooth function given a (value, gradient) callback.
+    """Minimize a smooth function given a ``(value, gradient, *state)``
+    callback.
+
+    The report's ``state`` holds what the callback returned beyond the
+    value and the gradient at the minimizer.  ``callback(x, opt)`` is
+    called at each accepted iterate x with the sup norm opt of its
+    gradient.  An unconverged run stopped either on a failed line search
+    (``iterations < max_iter``) or at the iteration cap.
 
     ``curvature`` accepts the field of the same name from a previous
     report; reusing it warm-starts the quasi-Newton metric, which pays
@@ -134,10 +142,10 @@ def minimize(
     """
     fun = _CountedFun(fun_and_grad)
     x = np.asarray(x0, dtype=float).copy()
-    f, g = fun(x)
+    f, g, state = fun(x)
     opt = float(np.abs(g).max()) if g.size else 0.0
     if opt <= opt_tol:
-        return OptimReport(x, f, opt, 0, fun.evals, True, "optimal at start", curvature)
+        return OptimReport(x, f, opt, 0, fun.evals, True, "optimal at start", curvature, state)
 
     if _compatible(curvature, len(x)):
         hess = curvature
@@ -154,21 +162,20 @@ def minimize(
             hess = _DenseInverseHessian(len(x), 1.0 / gnorm)
             result = _line_search(fun, x, p, f, g)
         if result is None:
-            opt = float(np.abs(g).max())
             return OptimReport(
-                x, f, opt, k - 1, fun.evals, opt <= opt_tol,
-                "line search could not make further progress", hess,
+                x, f, opt, k - 1, fun.evals, False,
+                "line search could not make further progress", hess, state,
             )
-        alpha, f_new, g_new = result
+        alpha, f_new, g_new, state = result
         s = alpha * p
         x_new = x + s
         y = g_new - g
         hess.update(s, y)
         x, f, g = x_new, f_new, g_new
-        if callback is not None:
-            callback(x)
         opt = float(np.abs(g).max())
+        if callback is not None:
+            callback(x, opt)
         if opt <= opt_tol:
-            return OptimReport(x, f, opt, k, fun.evals, True, "gradient below tolerance", hess)
+            return OptimReport(x, f, opt, k, fun.evals, True, "gradient below tolerance", hess, state)
 
-    return OptimReport(x, f, opt, max_iter, fun.evals, False, "iteration cap reached", hess)
+    return OptimReport(x, f, opt, max_iter, fun.evals, False, "iteration cap reached", hess, state)

@@ -27,10 +27,13 @@ from . import anderson, sparse
 from .grid import Grid, eo_hamiltonian, gradient_field, integrate, policy_gap
 
 # Options of every level factorization.  The matrix is already in its
-# fill-reducing order (NATURAL keeps it, and makes scipy prefer diagonal
-# pivots); the smallest supernode relaxation and panel size factorize
-# these small five- and three-point matrices fastest, at unchanged fill.
-FACTOR_OPTIONS = {"permc_spec": "NATURAL", "relax": 1, "panel_size": 1}
+# fill-reducing order (NATURAL keeps it).  B_n is strictly row diagonally
+# dominant, so LU without pivoting is stable for it, and a zero pivot
+# threshold always takes the diagonal: every policy keeps the fill of the
+# pattern's ordering.  The smallest supernode relaxation and panel size
+# factorize these small five- and three-point matrices fastest, at
+# unchanged fill.
+FACTOR_OPTIONS = {"permc_spec": "NATURAL", "relax": 1, "panel_size": 1, "diag_pivot_thresh": 0.0}
 
 
 class ConvergenceError(RuntimeError):

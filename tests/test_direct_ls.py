@@ -154,8 +154,8 @@ def test_unconverged_solve_warns_and_returns_last_iterate(tiny_problem):
 
 
 def test_cold_start_reuses_the_last_forward_solve(tiny_problem, monkeypatch):
-    # the optimizer's last evaluation is at the minimizer, so the final
-    # state needs no forward solve of its own
+    # the optimizer hands back the forward solution it evaluated at the
+    # minimizer, so the final state needs no forward solve of its own
     prob, b_true = tiny_problem
     data = make_data(prob, b_true, TERMINAL_RATE)
     forward_solves, evaluations = [], []

@@ -29,7 +29,7 @@ from mfg_inverse.pde import (
 
 from mfg_inverse.sparse import LinearSolveError
 
-from conftest import cache, small_problem, without_coupling
+from conftest import cache, random_policy, small_problem, without_coupling
 from dense_reference import fit_line
 
 
@@ -180,16 +180,35 @@ def test_invert_step_warm_restart_is_immediate(quadratic_setup, rng):
     g = InverseData(kind=INITIAL_VALUE, g=rng.uniform(-1.0, 1.0, n))
     # both solves stall at opt_tol 1e-12, the second one without a step
     with pytest.warns(RuntimeWarning, match="inversion step stalled"):
-        b_opt, report, _ = invert_step_u0(
+        b_opt, report, u = invert_step_u0(
             prob, ops, m, g, 1e-4, np.zeros(n), opt_tol=1e-12, max_opt_iter=1000
         )
     with pytest.warns(RuntimeWarning, match="inversion step stalled"):
-        again, rerun, _ = invert_step_u0(
+        again, rerun, u_again = invert_step_u0(
             prob, ops, m, g, 1e-4, b_opt, opt_tol=1e-12, max_opt_iter=1000,
             curvature=report.curvature,
         )
     assert rerun.iterations == 0
     np.testing.assert_array_equal(again, b_opt)
+    np.testing.assert_array_equal(u, solve_hjb_linear(prob, ops, m, b_opt))
+    np.testing.assert_array_equal(u_again, u)
+
+
+def test_stalled_step_returns_the_state_of_its_minimizer():
+    # the line search's failed trials come after the minimizer's
+    # evaluation, and its state is still the one returned
+    prob = small_problem()
+    rng = np.random.default_rng(1)
+    ops = cache(prob, random_policy(prob.grid, rng, 0.5))
+    m = solve_fp(prob, ops)
+    g = InverseData(kind=INITIAL_VALUE, g=rng.uniform(-1.0, 1.0, prob.grid.num_points))
+    with pytest.warns(RuntimeWarning, match="inversion step stalled"):
+        b_opt, report, u = invert_step_u0(
+            prob, ops, m, g, 1e-4, np.zeros(prob.grid.num_points), opt_tol=1e-12,
+            max_opt_iter=1000,
+        )
+    assert report.function_evals > report.iterations + 1
+    np.testing.assert_array_equal(u, solve_hjb_linear(prob, ops, m, b_opt))
 
 
 def test_invert_step_raises_when_budget_exhausted(quadratic_setup, rng):
@@ -292,6 +311,13 @@ def test_iteration_cap_raises_with_last_gap(rate_problem):
     with pytest.raises(ConvergenceError) as err:
         policy_iteration_inverse(prob, data, tol=1e-9, max_iter=2)
     assert err.value.last_gap > 1e-9
+
+
+def test_iteration_cap_below_one_is_rejected(rate_problem):
+    prob, b_true = rate_problem
+    data = generate_data(prob, b_true, INITIAL_VALUE, fwd_tol=1e-9)
+    with pytest.raises(ValueError, match="max_iter"):
+        policy_iteration_inverse(prob, data, max_iter=0)
 
 
 def count_fp_sweeps(monkeypatch):

@@ -64,6 +64,13 @@ def test_forward_reports_non_convergence():
         policy_iteration_forward(prob, np.zeros(16), tol=1e-12, max_iter=2)
 
 
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_forward_rejects_an_iteration_cap_below_one(max_iter):
+    prob = small_problem(points=16, steps=10)
+    with pytest.raises(ValueError, match="max_iter"):
+        policy_iteration_forward(prob, np.zeros(16), max_iter=max_iter)
+
+
 def test_zero_policy_shape():
     prob = small_problem(dim=2, points=5, steps=4)
     q = zero_policy(prob)

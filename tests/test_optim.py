@@ -24,6 +24,11 @@ def rosenbrock(x):
     return value, grad
 
 
+def with_state(fun):
+    """fun, also returning a copy of the point it was evaluated at."""
+    return lambda x: (*fun(x), x.copy())
+
+
 def test_identity_quadratic_in_two_iterations():
     target = np.array([1.0, -2.0, 3.0])
     report = minimize(quadratic(target), np.zeros(3), opt_tol=1e-10)
@@ -35,10 +40,11 @@ def test_identity_quadratic_in_two_iterations():
 
 def test_rosenbrock_matches_reference_optimizer():
     x0 = np.array([-1.2, 1.0])
-    report = minimize(rosenbrock, x0, opt_tol=1e-9, max_iter=100)
+    report = minimize(with_state(rosenbrock), x0, opt_tol=1e-9, max_iter=100)
     assert report.converged
     assert report.iterations <= 100
     np.testing.assert_allclose(report.minimizer, [1.0, 1.0], rtol=0, atol=1e-6)
+    np.testing.assert_array_equal(report.state[0], report.minimizer)
     reference = scipy.optimize.minimize(
         lambda x: rosenbrock(x)[0], x0, jac=lambda x: rosenbrock(x)[1], method="BFGS",
         options={"gtol": 1e-9},
@@ -48,16 +54,18 @@ def test_rosenbrock_matches_reference_optimizer():
 
 def test_starting_at_the_optimum_returns_immediately():
     target = np.array([0.5, 0.25])
-    report = minimize(quadratic(target), target.copy(), opt_tol=1e-10)
+    report = minimize(with_state(quadratic(target)), target.copy(), opt_tol=1e-10)
     assert report.converged
     assert report.iterations == 0
     np.testing.assert_array_equal(report.minimizer, target)
+    np.testing.assert_array_equal(report.state[0], target)
 
 
 def test_objective_decreases_on_every_accepted_step():
     values = []
 
-    def watch(x):
+    def watch(x, opt):
+        assert opt == np.abs(rosenbrock(x)[1]).max()
         values.append(rosenbrock(x)[0])
 
     minimize(rosenbrock, np.array([-1.2, 1.0]), opt_tol=1e-9, max_iter=100, callback=watch)
@@ -82,10 +90,11 @@ def test_spd_quadratic_converges_within_linear_algebra_bound(rng):
 
 
 def test_max_iter_reports_without_converging():
-    report = minimize(rosenbrock, np.array([-1.2, 1.0]), opt_tol=1e-12, max_iter=3)
+    report = minimize(with_state(rosenbrock), np.array([-1.2, 1.0]), opt_tol=1e-12, max_iter=3)
     assert not report.converged
     assert report.iterations == 3
     assert "iteration" in report.message
+    np.testing.assert_array_equal(report.state[0], report.minimizer)
 
 
 def test_line_search_failure_reports_last_iterate():
@@ -94,10 +103,14 @@ def test_line_search_failure_reports_last_iterate():
     def kink(x):
         return float(np.abs(x[0])), np.array([1.0 if x[0] >= 0 else -1.0])
 
-    report = minimize(kink, np.array([1.0]), opt_tol=1e-12, max_iter=50)
+    report = minimize(with_state(kink), np.array([1.0]), opt_tol=1e-12, max_iter=50)
     assert not report.converged
     assert "line search" in report.message
+    assert report.iterations < 50
     assert report.objective == kink(report.minimizer)[0]
+    # the trial points after the minimizer's evaluation do not leak into its state
+    assert report.function_evals > report.iterations + 1
+    np.testing.assert_array_equal(report.state[0], report.minimizer)
 
 
 def test_curvature_reuse_shortens_warm_restarts(rng):

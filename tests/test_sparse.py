@@ -138,10 +138,8 @@ def test_batched_assembly_matches_dense_reference(dim, points, steps, eps, scale
             assert np.linalg.norm(matrix @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
-@pytest.mark.parametrize("dim, points, fill", [(1, 50, 294), (2, 30, 27524)])
-def test_pattern_ordering_keeps_the_per_call_fill(monkeypatch, rng, dim, points, fill):
-    # the ordering computed once per grid size gives each level the fill
-    # that ordering the level's own matrix would give
+def keep_level_lus(monkeypatch):
+    """The list that every level factorization is appended to from now on."""
     lus = []
     splu = pde.spla.splu
 
@@ -150,6 +148,15 @@ def test_pattern_ordering_keeps_the_per_call_fill(monkeypatch, rng, dim, points,
         return lus[-1]
 
     monkeypatch.setattr(pde.spla, "splu", keeping_splu)
+    return lus
+
+
+@pytest.mark.parametrize("dim, points, fill", [(1, 50, 294), (2, 30, 27524)])
+def test_pattern_ordering_keeps_the_per_call_fill(monkeypatch, rng, dim, points, fill):
+    # the ordering computed once per grid size gives each level the fill
+    # that ordering the level's own matrix would give
+    splu = pde.spla.splu
+    lus = keep_level_lus(monkeypatch)
     grid = make_grid(dim, points, 3, 1.0)
     ops = OperatorCache(grid, 0.3, rng.uniform(-2.0, 2.0, (4, grid.num_points, 2 * dim)))
     for n in range(grid.time_steps):
@@ -157,6 +164,19 @@ def test_pattern_ordering_keeps_the_per_call_fill(monkeypatch, rng, dim, points,
         per_call = splu(ops.matrix(n), permc_spec=PERMC_SPEC)
         assert lus[n].L.nnz + lus[n].U.nnz == per_call.L.nnz + per_call.U.nnz == fill
     assert len(lus) == grid.time_steps
+
+
+def test_large_slopes_keep_the_pattern_fill(monkeypatch, rng):
+    # B_n is strictly row diagonally dominant, so the factorization keeps
+    # the diagonal pivots; partial pivoting about doubles this fill
+    lus = keep_level_lus(monkeypatch)
+    grid = make_grid(2, 30, 3, 1.0)
+    ops = OperatorCache(grid, 0.3, rng.uniform(-60.0, 60.0, (4, grid.num_points, 4)))
+    rhs = np.ones(grid.num_points)
+    for n in range(grid.time_steps):
+        x = ops.hjb_solve(n, rhs)
+        assert lus[n].L.nnz + lus[n].U.nnz == 27524
+        assert np.linalg.norm(ops.matrix(n) @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 def test_solve_identity():
